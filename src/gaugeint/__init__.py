@@ -31,6 +31,7 @@ from .hk_core import (
     Gauge,
     HKResult,
     PrimitiveControl,
+    Schedule,
     TaggedFamily1D,
     ac_star_probe,
     as_schedule,

@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import (CauchyFail, ContinuityBudgetFail, DepthExceeded,
                      GaugeIntError, SearchFail, TailBudgetFail)
-from .hk_core import (PrimitiveControl, hk_integrate, howard_cousin_family,
-                      as_schedule, ftc_schedule, saks_henstock_audit,
-                      uniform_schedule, proportional_schedule)
+from .hk_core import (_SEED_ORDERS, PrimitiveControl, hk_integrate,
+                      howard_cousin_family, as_schedule, ftc_schedule,
+                      saks_henstock_audit, uniform_schedule,
+                      proportional_schedule)
 from .interval_charges import full_family_integrate
 from .hkp_integral import (ftc_verify, hkp_integrate,
                            uniform_current_schedule)
@@ -466,10 +467,9 @@ def _cmd_partition(args) -> int:
     control = sched.control
     tau = args.tau_val if args.tau_val is not None else sched.tau(eps)
     rows = []
-    for seed in ("left", "right"):
-        zero_order = "declared" if seed == "left" else "reversed"
+    for seed, (tag_order, zero_order) in _SEED_ORDERS.items():
         fc = howard_cousin_family((a, b), gauge, control, tau,
-                                  tag_order=seed, zero_order=zero_order,
+                                  tag_order=tag_order, zero_order=zero_order,
                                   max_nodes=8_000_000)
         part = fc.partition
         widths = part.rights - part.lefts

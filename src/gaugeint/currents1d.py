@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import random
-import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,9 +31,8 @@ from .errors import (
     TailBudgetFail,
     TraitViolation,
     UndefinedAtAtom,
-    UndefinedTag,
 )
-from .hk_core import Gauge, TaggedFamily1D, howard_cousin_family
+from .hk_core import _ZERO_ORDERS, Gauge, howard_cousin_family
 from .sums import exact_sum
 
 __all__ = [
@@ -918,6 +916,8 @@ def howard_cousin_current(T: Current1D, gauge, G: PieceCharge, tau: float, *,
     """
     if not (tau > 0.0):
         raise ValueError(f"tau {tau!r} must be positive")
+    if zero_order not in _ZERO_ORDERS:
+        raise ValueError(f"zero order must be one of {_ZERO_ORDERS}")
     n = len(T.components)
     order = sorted(range(n),
                    key=lambda i: (-T.components[i][0].length * T.components[i][1], i))

@@ -31,8 +31,8 @@ class CauchyFail(GaugeIntError):
     Attributes:
         sum1, sum2: the two Riemann sums.
         gap: |sum1 - sum2|.
-        partial_sums: optional list of (tau, sum) rows collected across a
-            tau schedule; used to report divergence diagnostics.
+        partial_sums: (tau, sum) rows, one per construction, collected
+            across a tau schedule; used to report divergence diagnostics.
     """
 
     def __init__(self, sum1, sum2, eps, partial_sums=None, detail=""):

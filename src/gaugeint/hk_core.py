@@ -6,10 +6,14 @@ positive gauge into a fine tagged partition; the Howard-Cousin builder turns
 a gauge that vanishes on finitely many points into a fine tagged family plus
 a remainder whose charge value is under budget.  Certification never trusts
 a single construction: every integral is the agreement of two partitions
-built from independent deterministic seeds.
+built from independent deterministic seeds, and one kernel (``_certify``)
+runs that two-seed test for intervals, full families and chains alike.
 
 Numerical conventions (fixed so runs are reproducible):
   * compensated summation in fixed index order for every accumulation,
+  * bisection runs level by level: each candidate column of one depth is
+    one ``Gauge.eval_many`` call, whether or not the gauge has a batch
+    evaluator,
   * bisection tag candidates tried left endpoint, midpoint, right endpoint
     for the primary seed and in reversed order for the certification seed,
   * dyadic radius searches from the host length down to 1e-12 times the
@@ -19,7 +23,7 @@ Numerical conventions (fixed so runs are reproducible):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -53,6 +57,7 @@ __all__ = [
     "ftc_schedule",
     "proportional_schedule",
     "as_schedule",
+    "Schedule",
     "PrimitiveControl",
 ]
 
@@ -76,8 +81,9 @@ class Gauge:
     """Nonnegative width function on a host interval.
 
     ``fn`` is the scalar evaluator.  ``batch_fn`` (optional) evaluates a
-    numpy array of points at once; constructions switch to the vectorized
-    bisection engine when it is present.  ``zero_set`` lists the only points
+    numpy array of points at once; without it ``eval_many`` calls ``fn``
+    point by point, so bisection gives the same family either way and
+    ``batch_fn`` only saves time.  ``zero_set`` lists the only points
     where the gauge may evaluate to 0; this is checked on every evaluation.
     """
 
@@ -263,12 +269,7 @@ class TaggedFamily1D:
 # Cousin bisection
 
 _TAG_ORDERS = ("left", "right")
-
-
-def _candidate_triplet(order: str):
-    if order not in _TAG_ORDERS:
-        raise ValueError(f"tag order must be one of {_TAG_ORDERS}")
-    return order
+_ZERO_ORDERS = ("declared", "reversed")
 
 
 def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
@@ -281,46 +282,14 @@ def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
     positive gauge: a declared zero set means no partition can be fine and
     the caller should be using howard_cousin_family instead.
     """
-    _candidate_triplet(tag_order)
+    if tag_order not in _TAG_ORDERS:
+        raise ValueError(f"tag order must be one of {_TAG_ORDERS}")
     a, b = float(host[0]), float(host[1])
     if any(a < y < b for y in gauge.zero_set):
         raise InvalidGauge("gauge vanishes inside the host; use howard_cousin_family")
     if not (gauge.a <= a < b <= gauge.b):
         raise InvalidGauge(f"host [{a}, {b}] not inside gauge host {gauge.host}")
-    if gauge.batch_fn is not None:
-        return _cousin_vector(a, b, gauge, tag_order, max_depth, max_nodes)
-    return _cousin_scalar(a, b, gauge, tag_order, max_depth, max_nodes)
-
-
-def _cousin_scalar(a, b, gauge, tag_order, max_depth, max_nodes):
-    out_l, out_r, out_t = [], [], []
-    stack = [(a, b, 0)]
-    nodes = 0
-    while stack:
-        c, d, depth = stack.pop()
-        nodes += 1
-        if nodes > max_nodes:
-            raise DepthExceeded(f"node budget {max_nodes} exhausted at depth {depth}")
-        w = d - c
-        m = 0.5 * (c + d)
-        cands = (c, m, d) if tag_order == "left" else (d, m, c)
-        tag = None
-        for x in cands:
-            if w < gauge(x):
-                tag = x
-                break
-        if tag is not None:
-            out_l.append(c)
-            out_r.append(d)
-            out_t.append(tag)
-            continue
-        if depth + 1 > max_depth:
-            raise DepthExceeded(f"max depth {max_depth} reached on [{c!r}, {d!r}]")
-        if not (c < m < d):
-            raise DepthExceeded(f"float resolution exhausted at [{c!r}, {d!r}]")
-        stack.append((m, d, depth + 1))
-        stack.append((c, m, depth + 1))
-    return TaggedFamily1D((a, b), out_l, out_r, out_t)
+    return _cousin_vector(a, b, gauge, tag_order, max_depth, max_nodes)
 
 
 def _cousin_vector(a, b, gauge, tag_order, max_depth, max_nodes):
@@ -377,12 +346,32 @@ def _cousin_vector(a, b, gauge, tag_order, max_depth, max_nodes):
 # carving around gauge zeros
 
 
+def _eval_points(f, P) -> np.ndarray:
+    """f at each point of P (the rows of a 2-d P, the entries of a 1-d P).
+
+    One batch call f(P) when it returns shape (n,); otherwise, or when the
+    batch call raises, float(f(p)) point by point.
+    """
+    P = np.asarray(P, dtype=float)
+    try:
+        vals = np.asarray(f(P), dtype=float)
+        if vals.shape == (P.shape[0],):
+            return vals
+    except Exception:
+        pass
+    return np.array([float(f(p)) for p in P])
+
+
 class PrimitiveControl:
     """Additive interval control built from a point primitive F.
 
     Value of a single interval is F(d) - F(c); the value of a union is the
     compensated sum of its interval values.  Budgets are compared against
     absolute values, matching the nonnegative charge |F|.
+
+    Every control the carve machinery accepts (this class,
+    ``IntervalCharge``, the chain row control) defines ``eval_one(c, d)``,
+    ``eval_many(cs, ds)`` and ``union_value(intervals)``.
     """
 
     def __init__(self, F: Callable[[float], float], name: str = "charge"):
@@ -393,39 +382,10 @@ class PrimitiveControl:
         return float(self.F(d)) - float(self.F(c))
 
     def eval_many(self, cs, ds) -> np.ndarray:
-        cs = np.asarray(cs, dtype=float)
-        ds = np.asarray(ds, dtype=float)
-        try:
-            Fc = np.asarray(self.F(cs), dtype=float)
-            Fd = np.asarray(self.F(ds), dtype=float)
-            if Fc.shape != cs.shape or Fd.shape != ds.shape:
-                raise TypeError
-        except Exception:
-            Fc = np.array([float(self.F(x)) for x in cs])
-            Fd = np.array([float(self.F(x)) for x in ds])
-        return Fd - Fc
+        return _eval_points(self.F, ds) - _eval_points(self.F, cs)
 
     def union_value(self, intervals: Sequence[tuple]) -> float:
         return compensated_sum(self.eval_one(c, d) for c, d in intervals)
-
-
-def _control_eval_one(control, c, d):
-    if hasattr(control, "eval_one"):
-        return float(control.eval_one(c, d))
-    return float(control(c, d))
-
-
-def _control_eval_many(control, cs, ds) -> np.ndarray:
-    if hasattr(control, "eval_many"):
-        return np.asarray(control.eval_many(cs, ds), dtype=float)
-    return np.array([_control_eval_one(control, c, d)
-                     for c, d in zip(cs, ds)])
-
-
-def _control_union(control, intervals):
-    if hasattr(control, "union_value"):
-        return float(control.union_value(intervals))
-    return compensated_sum(_control_eval_one(control, c, d) for c, d in intervals)
 
 
 def _refine_carve(control, y, lo, hi, w, wcap, budget, zoom_rounds: int = 8,
@@ -459,7 +419,7 @@ def _refine_carve(control, y, lo, hi, w, wcap, budget, zoom_rounds: int = 8,
     C, D = C[keep], D[keep]
     if C.shape[0] == 0:
         return None
-    vals = np.abs(_control_eval_many(control, C, D))
+    vals = np.abs(control.eval_many(C, D))
 
     # Pairs already under budget compete on width with zoom-rescued wide
     # pairs; an instantly acceptable narrow pair must not shadow a wide
@@ -482,7 +442,7 @@ def _refine_carve(control, y, lo, hi, w, wcap, budget, zoom_rounds: int = 8,
             kk = DD > CC
             CC, DD = CC[kk], DD[kk]
             if CC.shape[0]:
-                vv = np.abs(_control_eval_many(control, CC, DD))
+                vv = np.abs(control.eval_many(CC, DD))
                 k = int(np.argmin(vv))
                 if vv[k] < vb:
                     vb, cb, db = float(vv[k]), float(CC[k]), float(DD[k])
@@ -512,7 +472,7 @@ def _widen_carve(control, best, cl, dr, wcap, budget, steps: int = 46):
         lo = db
         for _ in range(steps):
             mid = 0.5 * (lo + hi_d)
-            v = abs(_control_eval_one(control, cb, mid))
+            v = abs(control.eval_one(cb, mid))
             if v < budget:
                 lo, vb = mid, v
             else:
@@ -523,7 +483,7 @@ def _widen_carve(control, best, cl, dr, wcap, budget, steps: int = 46):
         hi = cb
         for _ in range(steps):
             mid = 0.5 * (lo_c + hi)
-            v = abs(_control_eval_one(control, mid, db))
+            v = abs(control.eval_one(mid, db))
             if v < budget:
                 hi, vb = mid, v
             else:
@@ -625,6 +585,8 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
     gauge is positive.  The remainder is exactly the union of carves and its
     control value is returned after being checked against tau.
     """
+    if zero_order not in _ZERO_ORDERS:
+        raise ValueError(f"zero order must be one of {_ZERO_ORDERS}")
     a, b = float(host[0]), float(host[1])
     zero_pts = [y for y in gauge.zero_set if a <= y <= b]
     if zero_order == "reversed":
@@ -673,7 +635,7 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
                                [c for c, _d, _y in carves],
                                [d for _c, d, _y in carves],
                                [y for _c, _d, y in carves])
-    remainder = _control_union(control, [(c, d) for c, d, _y in carves])
+    remainder = control.union_value([(c, d) for c, d, _y in carves])
     if abs(remainder) >= tau:
         raise ContinuityBudgetFail(
             f"remainder charge {remainder!r} not below tau {tau!r}")
@@ -735,25 +697,16 @@ class HKResult:
     partial_sums: tuple = ()
 
 
-class _FixedSchedule:
-    def __init__(self, gauge: Gauge, control=None):
-        self._gauge = gauge
+class Schedule:
+    """eps -> Gauge, with the control charge used to carve around the
+    gauge's zeros.  The remainder budget is tau(eps) = eps/4."""
+
+    def __init__(self, gauge_of_eps, control=None):
+        self._gauge_of_eps = gauge_of_eps
         self.control = control
 
-    def gauge(self, eps: float) -> Gauge:
-        return self._gauge
-
-    def tau(self, eps: float) -> float:
-        return eps / 4.0
-
-
-class _CallableSchedule:
-    def __init__(self, fn, control=None):
-        self._fn = fn
-        self.control = control
-
-    def gauge(self, eps: float) -> Gauge:
-        return self._fn(eps)
+    def gauge(self, eps: float):
+        return self._gauge_of_eps(eps)
 
     def tau(self, eps: float) -> float:
         return eps / 4.0
@@ -762,23 +715,23 @@ class _CallableSchedule:
 def as_schedule(obj, control=None):
     """Normalize a Gauge, an eps->Gauge callable, or a schedule object."""
     if isinstance(obj, Gauge):
-        return _FixedSchedule(obj, control)
+        return Schedule(lambda eps: obj, control)
     if hasattr(obj, "gauge") and hasattr(obj, "tau"):
         return obj
     if callable(obj):
-        return _CallableSchedule(obj, control)
+        return Schedule(obj, control)
     raise TypeError(f"cannot interpret {obj!r} as a gauge schedule")
 
 
-def uniform_schedule(a: float, b: float, h) -> _CallableSchedule:
+def uniform_schedule(a: float, b: float, h) -> Schedule:
     """Built-in schedule: uniform gauge, width h or h(eps)."""
     if callable(h):
-        return _CallableSchedule(lambda eps: Gauge.uniform(a, b, h(eps)))
-    return _FixedSchedule(Gauge.uniform(a, b, h))
+        return Schedule(lambda eps: Gauge.uniform(a, b, h(eps)))
+    return as_schedule(Gauge.uniform(a, b, h))
 
 
 def proportional_schedule(a: float, b: float, anchor: float, rate_of_eps,
-                          control=None) -> _CallableSchedule:
+                          control=None) -> Schedule:
     """Gauge proportional to the distance from an anchor where it vanishes.
 
     Suited to integrands with a one-sided singularity at the anchor whose
@@ -789,11 +742,11 @@ def proportional_schedule(a: float, b: float, anchor: float, rate_of_eps,
         rate = rate_of_eps(eps) if callable(rate_of_eps) else float(rate_of_eps)
         return Gauge.proportional(a, b, anchor, rate)
 
-    return _CallableSchedule(build, control)
+    return Schedule(build, control)
 
 
 def ftc_schedule(F, Fprime, exceptional: Sequence[float], host: tuple, *,
-                 vectorized: bool = True):
+                 vectorized: bool = True) -> Schedule:
     """Built-in schedule carrying the proof gauge of F and the |F| control.
 
     The gauge vanishes on the exceptional set, so hk_integrate runs the
@@ -806,17 +759,51 @@ def ftc_schedule(F, Fprime, exceptional: Sequence[float], host: tuple, *,
         return ftc_gauge(F, Fprime, exceptional, eps, (a, b),
                          vectorized=vectorized, zero_at_exceptional=True)
 
-    return _CallableSchedule(build, control=PrimitiveControl(F))
+    return Schedule(build, control=PrimitiveControl(F))
 
 
-def _one_construction(f, gauge, control, tau, seed, *, f_weight, eps_weight,
-                      vectorized, max_depth, max_nodes):
-    zero_order = "declared" if seed == "left" else "reversed"
-    fc = howard_cousin_family(gauge.host, gauge, control, tau,
-                              tag_order=seed, zero_order=zero_order,
-                              f_weight=f_weight, eps_weight=eps_weight,
-                              max_depth=max_depth, max_nodes=max_nodes)
-    return fc
+# Certification seeds: seed -> (tag order, zero order) of its construction.
+_SEED_ORDERS = {"left": ("left", "declared"), "right": ("right", "reversed")}
+
+
+def _tau_list(tau_schedule, sched, eps: float) -> list:
+    """Remainder budgets, largest first: the schedule's tau(eps) when
+    tau_schedule is None, else a number, an eps -> tau callable, or a list."""
+    if tau_schedule is None:
+        return [sched.tau(eps)]
+    if callable(tau_schedule):
+        return [float(tau_schedule(eps))]
+    if np.isscalar(tau_schedule):
+        return [float(tau_schedule)]
+    taus = sorted((float(t) for t in tau_schedule), reverse=True)
+    if not taus:
+        raise ValueError("empty tau schedule")
+    return taus
+
+
+def _certify(build, total, eps: float, taus: Sequence[float]) -> tuple:
+    """Henstock's Cauchy test on two independently seeded constructions.
+
+    ``build(tau, tag_order, zero_order)`` makes one construction and
+    ``total`` gives its Riemann sum.  Seed "left" is built at every tau,
+    largest first, and seed "right" at the smallest; each (tau, sum) is a
+    row.  The gap is the spread of all the sums, and CauchyFail (carrying
+    the rows) unless it is below eps.  Returns (left sum, right sum, gap,
+    rows, (left construction, right construction)), the left ones taken
+    at the smallest tau.
+    """
+    rows = []
+    for tau in taus:
+        left = build(tau, *_SEED_ORDERS["left"])
+        rows.append((tau, total(left)))
+    right = build(taus[-1], *_SEED_ORDERS["right"])
+    rows.append((taus[-1], total(right)))
+    sums = [s for _tau, s in rows]
+    gap = max(sums) - min(sums)
+    if not (gap < eps):
+        raise CauchyFail(sums[-2], sums[-1], eps, partial_sums=rows,
+                         detail=f"spread over the tau schedule is {gap!r}")
+    return sums[-2], sums[-1], gap, tuple(rows), (left, right)
 
 
 def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
@@ -827,8 +814,9 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
     Two tagged partitions are built from independent deterministic seeds
     (left-first vs right-first candidate order; carve budgets assigned in
     reversed order for the second seed).  Their Riemann sums must agree
-    within eps, else CauchyFail.  The returned value is the midpoint of the
-    two certified sums and ``epsilon`` is the achieved gap.
+    within eps, else CauchyFail with both sums as partial-sum rows.  The
+    returned value is the midpoint of the two certified sums and
+    ``epsilon`` is the achieved gap.
 
     For gauges with a declared zero set the partition is carves plus covered
     family; carve pairs are tagged at the zero points and kept in the sum,
@@ -839,30 +827,28 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
         raise ValueError(f"eps {eps!r} must be positive")
     gauge = sched.gauge(eps)
     control = getattr(sched, "control", None)
-    tau = sched.tau(eps)
-    sums = []
-    cons = []
-    for seed in ("left", "right"):
-        fc = _one_construction(f, gauge, control, tau, seed,
-                               f_weight=f if gauge.zero_set else None,
-                               eps_weight=eps / 2.0,
-                               vectorized=vectorized,
-                               max_depth=max_depth, max_nodes=max_nodes)
+
+    def build(tau, tag_order, zero_order):
+        return howard_cousin_family(gauge.host, gauge, control, tau,
+                                    tag_order=tag_order, zero_order=zero_order,
+                                    f_weight=f if gauge.zero_set else None,
+                                    eps_weight=eps / 2.0,
+                                    max_depth=max_depth, max_nodes=max_nodes)
+
+    def total(fc):
         part = fc.partition
         if not part.is_partition:
             raise DepthExceeded("construction failed to partition the host")
-        sums.append(riemann_sum(f, part, vectorized=vectorized))
-        cons.append(fc)
-    s1, s2 = sums
-    gap = abs(s1 - s2)
-    if not (gap < eps):
-        raise CauchyFail(s1, s2, eps)
+        return riemann_sum(f, part, vectorized=vectorized)
+
+    tau = sched.tau(eps)
+    s1, s2, gap, _rows, cons = _certify(build, total, eps, [tau])
     cert = Certificate(
         sum1=s1, sum2=s2, gauge_name=gauge.name,
         sizes=(cons[0].partition.n, cons[1].partition.n),
         tau=tau if gauge.zero_set else None,
         remainders=(cons[0].remainder_value, cons[1].remainder_value),
-        families=(cons[0], cons[1]) if keep_families else (),
+        families=cons if keep_families else (),
     )
     return HKResult(value=0.5 * (s1 + s2), epsilon=gap, certificate=cert)
 
@@ -1039,7 +1025,7 @@ def ac_star_probe(F, null_set: Sequence[float], gauge: Gauge, *,
     if callable(F) and not hasattr(F, "eval_one"):
         incr = lambda c, d: float(F(d)) - float(F(c))
     else:
-        incr = lambda c, d: _control_eval_one(F, c, d)
+        incr = F.eval_one
     pts = sorted(float(y) for y in null_set)
     if not pts:
         return 0.0

@@ -15,9 +15,8 @@ tangent-dependent integrands stay well defined at polyline vertices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +40,16 @@ from .errors import (
     QuadratureUnstable,
     UndefinedTag,
 )
-from .hk_core import Certificate, Gauge, HKResult, ftc_gauge
+from .hk_core import (
+    Certificate,
+    Gauge,
+    HKResult,
+    Schedule,
+    _certify,
+    _eval_points,
+    _tau_list,
+    ftc_gauge,
+)
 from .sums import compensated_sum, exact_sum
 
 __all__ = [
@@ -137,8 +145,8 @@ class ArcFunction:
                 h = np.maximum(np.minimum(h0, 0.45 * np.abs(d)), h_min)
                 lo = np.maximum(flat - h, 0.0)
                 hi = np.minimum(flat + h, curve.length)
-                ul = _point_values(u, curve.point_at_many(lo))
-                uh = _point_values(u, curve.point_at_many(hi))
+                ul = _eval_points(u, curve.point_at_many(lo))
+                uh = _eval_points(u, curve.point_at_many(hi))
                 out = (uh - ul) / (hi - lo)
                 if ss_in.ndim == 0:
                     return float(out[0])
@@ -155,30 +163,13 @@ class ArcFunction:
         return out
 
 
-def _point_values(u, P) -> np.ndarray:
-    """Ambient point function on an (n, dim) array, batch when it can."""
-    P = np.asarray(P, dtype=float)
-    try:
-        v = np.asarray(u(P), dtype=float)
-        if v.shape == (P.shape[0],):
-            return v
-    except Exception:
-        pass
-    return np.array([float(u(p)) for p in P])
-
-
 def _tag_values(f, family: PieceFamily) -> np.ndarray:
     if family.n == 0:
         return np.empty(0)
     if isinstance(f, ArcFunction):
         vals = f.eval_rows(family)
     else:
-        try:
-            vals = np.asarray(f(family.tag_points), dtype=float)
-            if vals.shape != (family.n,):
-                raise TypeError
-        except Exception:
-            vals = np.array([float(f(p)) for p in family.tag_points])
+        vals = _eval_points(f, family.tag_points)
     if not np.all(np.isfinite(vals)):
         bad = family.tag_points[~np.isfinite(vals)][0]
         raise UndefinedTag(f"integrand undefined at tag {bad!r}")
@@ -196,61 +187,36 @@ def hkp_riemann_sum(f, family: PieceFamily) -> float:
 # schedules on chains
 
 
-class _CurrentSchedule:
-    def __init__(self, gauge_of_eps, control=None):
-        self._g = gauge_of_eps
-        self.control = control
-
-    def gauge(self, eps: float):
-        return self._g(eps)
-
-    def tau(self, eps: float) -> float:
-        return eps / 4.0
-
-
-def as_current_schedule(obj) -> _CurrentSchedule:
+def as_current_schedule(obj) -> Schedule:
     """Normalize a fixed gauge, an eps->gauge callable, or a schedule."""
     if isinstance(obj, AmbientGauge):
-        return _CurrentSchedule(lambda eps: obj)
+        return Schedule(lambda eps: obj)
     if hasattr(obj, "gauge") and hasattr(obj, "tau"):
         return obj
     if callable(obj):
-        return _CurrentSchedule(obj)
+        return Schedule(obj)
     raise TypeError(f"cannot interpret {obj!r} as a gauge schedule on a chain")
 
 
-def uniform_current_schedule(h) -> _CurrentSchedule:
+def uniform_current_schedule(h) -> Schedule:
     """Constant ambient width h, or h(eps)."""
     def build(eps: float) -> AmbientGauge:
         w = float(h(eps)) if callable(h) else float(h)
         return AmbientGauge(fn=lambda p: w,
                             batch_fn=lambda P: np.full(P.shape[0], w),
                             name=f"uniform[h={w!r}]")
-    return _CurrentSchedule(build)
+    return Schedule(build)
 
 
-def arc_gauge_schedule(builders: dict) -> _CurrentSchedule:
+def arc_gauge_schedule(builders: dict) -> Schedule:
     """Per-component interval gauges: builders[ci] is eps -> Gauge on [0, L]."""
     def build(eps: float):
         return lambda ci, curve: builders[ci](eps)
-    return _CurrentSchedule(build)
+    return Schedule(build)
 
 
 # ---------------------------------------------------------------------------
 # the integrator
-
-
-def _tau_list(tau_schedule, sched, eps: float) -> list:
-    if tau_schedule is None:
-        return [sched.tau(eps)]
-    if callable(tau_schedule):
-        return [float(tau_schedule(eps))]
-    if np.isscalar(tau_schedule):
-        return [float(tau_schedule)]
-    taus = sorted((float(t) for t in tau_schedule), reverse=True)
-    if not taus:
-        raise ValueError("empty tau schedule")
-    return taus
 
 
 def hkp_integrate(f, T: Current1D, G: PieceCharge, gauge_schedule,
@@ -272,30 +238,19 @@ def hkp_integrate(f, T: Current1D, G: PieceCharge, gauge_schedule,
     sched = as_current_schedule(gauge_schedule)
     gauge = sched.gauge(eps)
     taus = _tau_list(tau_schedule, sched, eps)
-    records = []
-    fam_a = None
-    for tau in taus:
-        fam_a = howard_cousin_current(T, gauge, G, tau, tag_order="left",
-                                      zero_order="declared",
-                                      max_depth=max_depth, max_nodes=max_nodes)
-        records.append((tau, hkp_riemann_sum(f, fam_a)))
-    fam_b = howard_cousin_current(T, gauge, G, taus[-1], tag_order="right",
-                                  zero_order="reversed",
-                                  max_depth=max_depth, max_nodes=max_nodes)
-    sum_b = hkp_riemann_sum(f, fam_b)
-    all_sums = [s for _t, s in records] + [sum_b]
-    gap = max(all_sums) - min(all_sums)
-    sum_a = records[-1][1]
-    partial = tuple(records) + ((taus[-1], sum_b),)
-    if not (gap < eps):
-        raise CauchyFail(sum_a, sum_b, eps, partial_sums=partial,
-                         detail=f"spread over the tau schedule is {gap!r}")
+
+    def build(tau, tag_order, zero_order):
+        return howard_cousin_current(T, gauge, G, tau, tag_order=tag_order,
+                                     zero_order=zero_order,
+                                     max_depth=max_depth, max_nodes=max_nodes)
+
+    sum_a, sum_b, gap, partial, fams = _certify(
+        build, lambda fam: hkp_riemann_sum(f, fam), eps, taus)
     name = gauge.name if isinstance(gauge, AmbientGauge) else "per-component"
     cert = Certificate(sum1=sum_a, sum2=sum_b, gauge_name=name,
-                       seeds=("left", "right"),
-                       sizes=(fam_a.n, fam_b.n), tau=taus[-1],
-                       remainders=(fam_a.remainder_value,
-                                   fam_b.remainder_value))
+                       sizes=(fams[0].n, fams[1].n), tau=taus[-1],
+                       remainders=(fams[0].remainder_value,
+                                   fams[1].remainder_value))
     return HKResult(value=0.5 * (sum_a + sum_b), epsilon=gap,
                     certificate=cert, partial_sums=partial)
 
@@ -426,13 +381,7 @@ def monotone_convergence_harness(f_seq: Sequence, T: Current1D,
 def _sample_values(f, ci: int, ss: np.ndarray, pts: np.ndarray) -> np.ndarray:
     if isinstance(f, ArcFunction):
         return np.asarray(f.fns[ci](ss), dtype=float)
-    try:
-        v = np.asarray(f(pts), dtype=float)
-        if v.shape == (pts.shape[0],):
-            return v
-    except Exception:
-        pass
-    return np.array([float(f(p)) for p in pts])
+    return _eval_points(f, pts)
 
 
 def lebesgue_compare(f, T: Current1D, *, hkp_result: Optional[HKResult] = None,
@@ -461,13 +410,7 @@ def lebesgue_compare(f, T: Current1D, *, hkp_result: Optional[HKResult] = None,
             if isinstance(f, ArcFunction):
                 vals = np.asarray(f.fns[ci](mids), dtype=float)
             else:
-                pts = curve.point_at_many(mids)
-                try:
-                    vals = np.asarray(f(pts), dtype=float)
-                    if vals.shape != (pts.shape[0],):
-                        raise TypeError
-                except Exception:
-                    vals = np.array([float(f(p)) for p in pts])
+                vals = _eval_points(f, curve.point_at_many(mids))
             parts.append(mult * compensated_sum(vals * step))
         q = exact_sum(parts)
         values.append(q)
@@ -557,7 +500,7 @@ def ftc_verify(u: Callable, T: Current1D, eps_schedule: Sequence[float], *,
         f = ArcFunction.tangential(T, Du)
     else:
         f = ArcFunction.tangential_fd(T, u)
-    ub = u_batch if u_batch is not None else (lambda P: _point_values(u, P))
+    ub = u_batch if u_batch is not None else (lambda P: _eval_points(u, P))
     G = control if control is not None else \
         abs_charge(theta_charge(u, u_batch=ub, continuous=True))
 
@@ -587,7 +530,7 @@ def ftc_verify(u: Callable, T: Current1D, eps_schedule: Sequence[float], *,
                                  zero_at_exceptional=True,
                                  name=f"ftc-arc[{ci}]")
             return per_comp
-        sched = _CurrentSchedule(build)
+        sched = Schedule(build)
     else:
         sched = as_current_schedule(gauge_schedule)
         if exceptional:

@@ -11,23 +11,22 @@ of partitions.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContinuityBudgetFail, InvalidGauge, TraitViolation
+from .errors import ContinuityBudgetFail, TraitViolation
 from .hk_core import (
     Certificate,
     Gauge,
     HKResult,
-    TaggedFamily1D,
+    _certify,
+    _tau_list,
     as_schedule,
     howard_cousin_family,
     riemann_sum,
 )
-from .errors import CauchyFail
 from .sums import compensated_sum
 
 __all__ = [
@@ -114,6 +113,9 @@ class IntervalCharge:
     # charge protocol shared with hk_core carve machinery
     def eval_one(self, c: float, d: float) -> float:
         return float(self.fn([(c, d)]))
+
+    def eval_many(self, cs, ds) -> np.ndarray:
+        return np.array([float(self.fn([(c, d)])) for c, d in zip(cs, ds)])
 
     def union_value(self, intervals: Sequence[tuple]) -> float:
         return float(self.fn(list(intervals)))
@@ -312,7 +314,10 @@ def full_family_integrate(f, G: IntervalCharge, gauge_schedule,
 
     Families are built by howard_cousin_family: fine, tags off the gauge's
     zero set, uncovered remainder with |G| < tau.  Two independent builds
-    (left/right seeds, carve budget order flipped) must agree within eps.
+    (left/right seeds, carve budget order flipped) must agree within eps,
+    else CauchyFail carrying the (tau, sum) rows.  ``tau_schedule`` is
+    read as in hkp_integrate: None for eps/4, a number, an eps -> tau
+    callable, or a list of budgets (the left seed is built at each).
     The value is the midpoint of the two family sums; against a partition
     integral it can differ by the mass G assigns to the uncovered part,
     which the equivalence theorem bounds at the 3-epsilon scale.
@@ -321,27 +326,19 @@ def full_family_integrate(f, G: IntervalCharge, gauge_schedule,
     if not (eps > 0.0):
         raise ValueError(f"eps {eps!r} must be positive")
     gauge = sched.gauge(eps)
-    if tau_schedule is None:
-        tau = sched.tau(eps)
-    elif callable(tau_schedule):
-        tau = float(tau_schedule(eps))
-    else:
-        tau = float(tau_schedule)
-    sums = []
-    cons = []
-    for seed in ("left", "right"):
-        zero_order = "declared" if seed == "left" else "reversed"
-        fc = howard_cousin_family(gauge.host, gauge, G, tau,
-                                  tag_order=seed, zero_order=zero_order,
-                                  max_depth=max_depth, max_nodes=max_nodes)
-        sums.append(riemann_sum(f, fc.family, vectorized=vectorized))
-        cons.append(fc)
-    s1, s2 = sums
-    gap = abs(s1 - s2)
-    if not (gap < eps):
-        raise CauchyFail(s1, s2, eps)
+    taus = _tau_list(tau_schedule, sched, eps)
+
+    def build(tau, tag_order, zero_order):
+        return howard_cousin_family(gauge.host, gauge, G, tau,
+                                    tag_order=tag_order, zero_order=zero_order,
+                                    max_depth=max_depth, max_nodes=max_nodes)
+
+    s1, s2, gap, _rows, cons = _certify(
+        build, lambda fc: riemann_sum(f, fc.family, vectorized=vectorized),
+        eps, taus)
     cert = Certificate(sum1=s1, sum2=s2, gauge_name=gauge.name,
-                       sizes=(cons[0].family.n, cons[1].family.n), tau=tau,
+                       sizes=(cons[0].family.n, cons[1].family.n),
+                       tau=taus[-1],
                        remainders=(cons[0].remainder_value,
                                    cons[1].remainder_value))
     return HKResult(value=0.5 * (s1 + s2), epsilon=gap, certificate=cert)

@@ -88,6 +88,9 @@ def test_fixed_mesh_cannot_certify_tight_eps(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == 2
     assert "certification failed" in capsys.readouterr().err
+    _, header, rows = read_csv(tmp_path / "partial_sums.csv")
+    assert header == ["tau", "sum"]
+    assert len(rows) == 2
 
 
 def test_failed_chain_certification_writes_partial_sums(tmp_path):

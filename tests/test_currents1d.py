@@ -18,11 +18,13 @@ from gaugeint import (
     howard_cousin_current,
     is_piece,
     lambda_f,
+    lambda_f_charge,
     lambda_omega,
     load_current,
     loads_current,
     mass,
     mass_charge,
+    mass_continuity_witness,
     pieces_at,
     restrict,
     restrict_halfplane,
@@ -43,6 +45,24 @@ def test_curve_length_345():
 def test_curve_closed_needs_repeated_vertex():
     with pytest.raises(ValueError):
         Curve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), closed=True)
+
+
+def test_curve_from_param_meets_chord_tolerance():
+    tol = 1e-4
+    arc = Curve.from_param(lambda t: (math.cos(t), math.sin(t)),
+                           t0=0.0, t1=math.pi, tol=tol)
+    assert arc.source == "param" and arc.source_tol == tol
+    # every vertex lies on the unit circle, endpoints exactly as given
+    assert np.allclose(np.linalg.norm(arc.vertices, axis=1), 1.0, atol=1e-15)
+    assert np.array_equal(arc.vertices[0], [1.0, 0.0])
+    assert np.array_equal(arc.vertices[-1], [math.cos(math.pi), math.sin(math.pi)])
+    # sagitta of each chord is within tol, and the length approaches pi
+    half = 0.5 * arc.seg_len
+    assert np.all(1.0 - np.sqrt(1.0 - half ** 2) <= tol)
+    assert 0.0 < math.pi - arc.length < 1e-3
+    loop = Curve.from_param(lambda t: (math.cos(t), math.sin(t)),
+                            t0=0.0, t1=2.0 * math.pi, closed=True, tol=1e-2)
+    assert loop.closed and np.array_equal(loop.vertices[0], loop.vertices[-1])
 
 
 def test_curve_nearest():
@@ -158,6 +178,27 @@ def test_lambda_f_refines_to_line_integral(circle1024):
     assert abs(got - math.pi) < 1e-4
 
 
+def test_lambda_f_charge_matches_lambda_f(circle16):
+    f = lambda p: p[0] + 2.0 * p[1]
+    charge = lambda_f_charge(f)
+    assert charge.name == "lambda-f" and "additive" in charge.traits
+    S = restrict(circle16, [(0, 0.5, 2.5, 1)])
+    assert charge(S) == lambda_f(f, S)
+    charge.validate_on(circle16)
+
+
+def test_mass_continuity_witness_tables_mass_and_boundary(segment345,
+                                                           circle16):
+    pieces = [restrict(segment345, [(0, 1.0, 1.0 + 2.0 ** -k, 1)])
+              for k in range(4)]
+    # subarcs of the segment: mass shrinks, two boundary atoms stay
+    assert mass_continuity_witness(segment345, pieces) == \
+        [(2.0 ** -k, 2.0) for k in range(4)]
+    # a closed loop has no boundary
+    assert mass_continuity_witness(circle16, [circle16.full_piece()]) == \
+        [(circle16.mass(), 0.0)]
+
+
 def test_theta_charge_on_closed_loop_vanishes(circle16):
     th = theta_charge(lambda p: p[0] * p[1])
     assert th(circle16.full_piece()) == 0.0
@@ -225,6 +266,13 @@ def test_howard_cousin_current_fine_and_full(circle16):
     assert fam.remainder_value < tau
     covered = fam.body_mass()
     assert circle16.mass() - covered <= tau + 1e-12
+
+
+def test_howard_cousin_current_rejects_unknown_zero_order(segment345):
+    gauge = AmbientGauge(fn=lambda p: 0.7)
+    with pytest.raises(ValueError, match="zero order"):
+        howard_cousin_current(segment345, gauge, mass_charge(), 0.01,
+                              zero_order="sideways")
 
 
 def test_howard_cousin_current_respects_multiplicity(segment345):

@@ -17,6 +17,7 @@ from gaugeint import (
     gallery,
     hk_integrate,
     howard_cousin_family,
+    pointwise_lip,
     riemann_sum,
     saks_henstock_audit,
     uniform_schedule,
@@ -65,18 +66,29 @@ def test_cousin_partition_is_fine_partition():
     assert np.all(part.tags <= part.rights)
 
 
+def _width_gauges(h):
+    """One constant width, with a batch evaluator and without one."""
+    return (Gauge.uniform(0.0, 1.0, h),
+            Gauge(0.0, 1.0, lambda x: h, name="uniform-scalar"))
+
+
 def test_cousin_partition_deterministic():
-    g = Gauge.uniform(0.0, 1.0, 0.013)
-    p1 = cousin_partition((0.0, 1.0), g)
-    p2 = cousin_partition((0.0, 1.0), g)
-    assert np.array_equal(p1.lefts, p2.lefts)
-    assert np.array_equal(p1.tags, p2.tags)
+    # both gauges run the one bisection engine: batch_fn only saves time
+    batch_g, _ = _width_gauges(0.013)
+    for tag_order in ("left", "right"):
+        ref = cousin_partition((0.0, 1.0), batch_g, tag_order=tag_order)
+        for g in _width_gauges(0.013):
+            for _run in range(2):
+                p = cousin_partition((0.0, 1.0), g, tag_order=tag_order)
+                assert np.array_equal(p.lefts, ref.lefts)
+                assert np.array_equal(p.rights, ref.rights)
+                assert np.array_equal(p.tags, ref.tags)
 
 
 def test_cousin_partition_node_budget():
-    g = Gauge.uniform(0.0, 1.0, 1e-6)
-    with pytest.raises(DepthExceeded):
-        cousin_partition((0.0, 1.0), g, max_nodes=100)
+    for g in _width_gauges(1e-6):
+        with pytest.raises(DepthExceeded):
+            cousin_partition((0.0, 1.0), g, max_nodes=100)
 
 
 @given(st.floats(min_value=0.01, max_value=0.5),
@@ -164,8 +176,13 @@ def test_hk_integrate_converges_with_mesh():
 
 
 def test_hk_integrate_cauchyfail_on_tight_eps():
-    with pytest.raises(CauchyFail):
+    with pytest.raises(CauchyFail) as info:
         hk_integrate(lambda x: x, uniform_schedule(0.0, 1.0, 1e-2), 1e-9)
+    # one (tau, sum) row per seed, tau being the schedule's eps/4
+    rows = info.value.partial_sums
+    assert len(rows) == 2
+    assert [t for t, _s in rows] == [1e-9 / 4.0] * 2
+    assert [s for _t, s in rows] == [info.value.sum1, info.value.sum2]
 
 
 def test_hk_integrate_rejects_bad_eps():
@@ -262,6 +279,12 @@ def test_carve_needs_control():
         howard_cousin_family((0.0, 1.0), g, None, 0.1)
 
 
+def test_howard_cousin_family_rejects_unknown_zero_order():
+    g = Gauge.uniform(0.0, 1.0, 0.1)
+    with pytest.raises(ValueError, match="zero order"):
+        howard_cousin_family((0.0, 1.0), g, None, 0.1, zero_order="sideways")
+
+
 def test_carve_budget_failure_on_jump():
     # a unit jump at the zero point can never fit a small charge budget
     F = lambda x: 0.0 if x < 0.5 else 1.0
@@ -294,6 +317,21 @@ def test_ac_star_smooth_primitive_passes():
     assert p8 < 2.0 * float(np.sum(anchors)) * 3.0 ** -8 + 1e-12
     assert p10 < 0.01
     assert p10 < p8 / 5.0
+
+
+def test_pointwise_lip_shrinks_to_the_slope():
+    # |x^2 - 1| / |x - 1| = |x + 1| on offsets up to r: at most 2 + r, and
+    # reached on the largest positive offset
+    F = lambda x: x * x
+    est = [pointwise_lip(F, 1.0, [r]) for r in (0.5, 0.1, 0.01)]
+    assert est == pytest.approx([2.5, 2.1, 2.01], rel=1e-12)
+    # the smallest radius of the schedule is the one used
+    assert pointwise_lip(F, 1.0, [0.5, 0.01]) == est[2]
+    # clipping to the host keeps samples on [0, 1]: left offsets only
+    assert pointwise_lip(F, 1.0, [0.5], host=(0.0, 1.0)) == \
+        pytest.approx(2.0 - 0.5 / 16.0, rel=1e-12)
+    with pytest.raises(ValueError):
+        pointwise_lip(F, 1.0, [0.0])
 
 
 # ---------------------------------------------------------------------------
