@@ -22,7 +22,7 @@ from gaugeint import (
     saks_henstock_audit,
     uniform_schedule,
 )
-from gaugeint.hk_core import TaggedFamily1D
+from gaugeint.hk_core import TaggedFamily1D, _GaugeCache
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +83,31 @@ def test_cousin_partition_deterministic():
                 assert np.array_equal(p.lefts, ref.lefts)
                 assert np.array_equal(p.rights, ref.rights)
                 assert np.array_equal(p.tags, ref.tags)
+
+
+def test_gauge_cache_same_family_each_point_once():
+    pair = gallery.square_sine_pair()
+    sched = ftc_schedule(pair["F"], pair["Fprime"], [0.0], pair["host"],
+                         vectorized=True)
+    g = sched.gauge(1e-3)
+    seen = []
+
+    def counted(xs):
+        seen.extend(np.asarray(xs, dtype=float).tolist())
+        return g.batch_fn(xs)
+
+    counted_g = Gauge(g.a, g.b, g.fn, g.zero_set, counted, name=g.name)
+    cache = _GaugeCache(counted_g)
+    for tag_order in ("left", "right"):
+        ref = cousin_partition((0.5, 1.0), g, tag_order=tag_order)
+        p = cousin_partition((0.5, 1.0), counted_g, tag_order=tag_order,
+                             gauge_cache=cache)
+        for attr in ("lefts", "rights", "tags"):
+            assert np.array_equal(getattr(p, attr).view(np.int64),
+                                  getattr(ref, attr).view(np.int64))
+    assert len(seen) == len(set(seen))
+    with pytest.raises(ValueError):
+        cousin_partition((0.5, 1.0), g, gauge_cache=cache)
 
 
 def test_cousin_partition_node_budget():
