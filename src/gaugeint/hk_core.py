@@ -273,8 +273,7 @@ _ZERO_ORDERS = ("declared", "reversed")
 
 
 def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
-                     max_depth: int = 64, max_nodes: int = 4_000_000,
-                     gauge_cache: Optional["_GaugeCache"] = None) -> TaggedFamily1D:
+                     max_depth: int = 64, max_nodes: int = 4_000_000) -> TaggedFamily1D:
     """Fine tagged partition of the host by repeated bisection.
 
     Each subinterval is kept once some candidate tag x in it satisfies
@@ -282,8 +281,6 @@ def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
     endpoint (reversed for tag_order="right"), first hit wins.  Requires a
     positive gauge: a declared zero set means no partition can be fine and
     the caller should be using howard_cousin_family instead.
-    ``gauge_cache``, a cache of this gauge's values kept by a certification
-    call, answers points it has already seen; the family is the same.
     """
     if tag_order not in _TAG_ORDERS:
         raise ValueError(f"tag order must be one of {_TAG_ORDERS}")
@@ -292,52 +289,27 @@ def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
         raise InvalidGauge("gauge vanishes inside the host; use howard_cousin_family")
     if not (gauge.a <= a < b <= gauge.b):
         raise InvalidGauge(f"host [{a}, {b}] not inside gauge host {gauge.host}")
-    mids = None
-    if gauge_cache is not None:
-        if gauge_cache.gauge is not gauge:
-            raise ValueError("gauge_cache holds the values of another gauge")
-        mids = gauge_cache.mids.setdefault((a, b), {})
     # the level arrays are freed when _cousin_vector returns, before the
     # family is assembled
     done_l, done_r, done_t = _cousin_vector(a, b, gauge, tag_order, max_depth,
-                                            max_nodes, mids)
+                                            max_nodes)
     if not done_l:
         raise DepthExceeded("bisection produced no intervals")
     return TaggedFamily1D((a, b), np.concatenate(done_l),
                           np.concatenate(done_r), np.concatenate(done_t))
 
 
-class _GaugeCache:
-    """Gauge values the bisection engine met in one certification call.
-
-    The intervals bisection visits on a segment do not depend on the tag
-    order: an interval is kept when any of its three candidates fits.  So
-    the midpoint values one build evaluated at each depth are the ones
-    every other seed meets there too; they are kept here per segment and
-    depth, and a later build on the same segment evaluates only points no
-    earlier build needed.  Holds one gauge, lives for one call, so a gauge
-    is never assumed pure beyond it.
-    """
-
-    def __init__(self, gauge: Gauge):
-        self.gauge = gauge
-        # (a, b) -> {depth: midpoint values, "ends": root end values}; nan
-        # marks a point not evaluated yet
-        self.mids = {}
-
-
-def _cousin_vector(a, b, gauge, tag_order, max_depth, max_nodes, mids=None):
+def _cousin_vector(a, b, gauge, tag_order, max_depth, max_nodes):
     """Bisection, one numpy pass per depth.  ``gC``, ``gM`` and ``gD`` hold
     the gauge at each interval's left end, midpoint and right end, nan
     until evaluated; a child inherits its ends' values from its parent, so
-    below the root only midpoints are evaluated.  ``mids`` (a dict) keeps
-    and supplies ``gM`` per depth and the root's end values.  Returns the
-    fitted intervals as lists of (lefts, rights, tags) arrays per depth."""
+    below the root only midpoints are evaluated.  Returns the fitted
+    intervals as lists of (lefts, rights, tags) arrays per depth."""
     done_l, done_r, done_t = [], [], []
     C = np.array([a])
     D = np.array([b])
-    ends = (np.array([np.nan]), np.array([np.nan]))
-    gC, gD = ends if mids is None else mids.setdefault("ends", ends)
+    gC = np.array([np.nan])
+    gD = np.array([np.nan])
     nodes = 0
     for depth in range(max_depth + 1):
         n = C.shape[0]
@@ -348,9 +320,7 @@ def _cousin_vector(a, b, gauge, tag_order, max_depth, max_nodes, mids=None):
             raise DepthExceeded(f"node budget {max_nodes} exhausted at depth {depth}")
         W = D - C
         M = 0.5 * (C + D)
-        gM = mids.get(depth) if mids is not None else None
-        if gM is None or gM.shape[0] != n:
-            gM = np.full(n, np.nan)
+        gM = np.full(n, np.nan)
         cands = ((C, gC), (M, gM), (D, gD))
         tag = np.full(n, np.nan)
         open_mask = np.ones(n, dtype=bool)
@@ -363,8 +333,6 @@ def _cousin_vector(a, b, gauge, tag_order, max_depth, max_nodes, mids=None):
             if new.any():
                 deltas[new] = gauge.eval_many(cand[idx[new]])
                 vals[idx[new]] = deltas[new]
-                if mids is not None and vals is gM:
-                    mids[depth] = gM
             hit = W[idx] < deltas
             tag[idx[hit]] = cand[idx[hit]]
             open_mask[idx[hit]] = False
@@ -623,9 +591,8 @@ class FamilyConstruction:
 def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
                          tag_order: str = "left", zero_order: str = "declared",
                          f_weight=None, eps_weight: Optional[float] = None,
-                         max_depth: int = 64, max_nodes: int = 4_000_000,
-                         gauge_cache: Optional[_GaugeCache] = None
-                         ) -> FamilyConstruction:
+                         max_depth: int = 64,
+                         max_nodes: int = 4_000_000) -> FamilyConstruction:
     """Fine tagged family whose uncovered remainder has |control| < tau.
 
     Around the j-th gauge-zero point an interval with |control| below
@@ -634,7 +601,6 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
     kept in a Riemann sum); Cousin bisection covers the rest, where the
     gauge is positive.  The remainder is exactly the union of carves and its
     control value is returned after being checked against tau.
-    ``gauge_cache`` is passed on to ``cousin_partition``.
     """
     if zero_order not in _ZERO_ORDERS:
         raise ValueError(f"zero order must be one of {_ZERO_ORDERS}")
@@ -644,8 +610,7 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
         zero_pts = zero_pts[::-1]
     if not zero_pts:
         fam = cousin_partition((a, b), gauge, tag_order=tag_order,
-                               max_depth=max_depth, max_nodes=max_nodes,
-                               gauge_cache=gauge_cache)
+                               max_depth=max_depth, max_nodes=max_nodes)
         empty = TaggedFamily1D((a, b), [], [], [])
         return FamilyConstruction(fam, empty, 0.0, gauge)
     if control is None:
@@ -672,8 +637,7 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
         segments.append((cur, b))
 
     parts = [cousin_partition(seg, gauge, tag_order=tag_order,
-                              max_depth=max_depth, max_nodes=max_nodes,
-                              gauge_cache=gauge_cache)
+                              max_depth=max_depth, max_nodes=max_nodes)
              for seg in segments]
     if parts:
         fam = TaggedFamily1D(
@@ -880,15 +844,13 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
         raise ValueError(f"eps {eps!r} must be positive")
     gauge = sched.gauge(eps)
     control = getattr(sched, "control", None)
-    cache = _GaugeCache(gauge)
 
     def build(tau, tag_order, zero_order):
         return howard_cousin_family(gauge.host, gauge, control, tau,
                                     tag_order=tag_order, zero_order=zero_order,
                                     f_weight=f if gauge.zero_set else None,
                                     eps_weight=eps / 2.0,
-                                    max_depth=max_depth, max_nodes=max_nodes,
-                                    gauge_cache=cache)
+                                    max_depth=max_depth, max_nodes=max_nodes)
 
     def total(fc):
         part = fc.partition

@@ -21,7 +21,6 @@ from .hk_core import (
     Certificate,
     Gauge,
     HKResult,
-    _GaugeCache,
     _certify,
     _tau_list,
     as_schedule,
@@ -328,13 +327,11 @@ def full_family_integrate(f, G: IntervalCharge, gauge_schedule,
         raise ValueError(f"eps {eps!r} must be positive")
     gauge = sched.gauge(eps)
     taus = _tau_list(tau_schedule, sched, eps)
-    cache = _GaugeCache(gauge)
 
     def build(tau, tag_order, zero_order):
         return howard_cousin_family(gauge.host, gauge, G, tau,
                                     tag_order=tag_order, zero_order=zero_order,
-                                    max_depth=max_depth, max_nodes=max_nodes,
-                                    gauge_cache=cache)
+                                    max_depth=max_depth, max_nodes=max_nodes)
 
     s1, s2, gap, _rows, cons = _certify(
         build, lambda fc: riemann_sum(f, fc.family, vectorized=vectorized),

@@ -22,7 +22,7 @@ from gaugeint import (
     saks_henstock_audit,
     uniform_schedule,
 )
-from gaugeint.hk_core import TaggedFamily1D, _GaugeCache
+from gaugeint.hk_core import TaggedFamily1D
 
 
 # ---------------------------------------------------------------------------
@@ -85,29 +85,31 @@ def test_cousin_partition_deterministic():
                 assert np.array_equal(p.tags, ref.tags)
 
 
-def test_gauge_cache_same_family_each_point_once():
-    pair = gallery.square_sine_pair()
-    sched = ftc_schedule(pair["F"], pair["Fprime"], [0.0], pair["host"],
-                         vectorized=True)
-    g = sched.gauge(1e-3)
-    seen = []
+def test_cousin_partition_matches_recursion_each_point_once():
+    # the engine passes end values down to the children, so it evaluates
+    # each point once and still builds the family plain recursion builds
+    def width(x):
+        return 0.002 + 0.05 * x * x
 
-    def counted(xs):
-        seen.extend(np.asarray(xs, dtype=float).tolist())
-        return g.batch_fn(xs)
+    def recurse(c, d, order):
+        m = 0.5 * (c + d)
+        for x in ((c, m, d) if order == "left" else (d, m, c)):
+            if d - c < width(x):
+                return [(c, d, x)]
+        return recurse(c, m, order) + recurse(m, d, order)
 
-    counted_g = Gauge(g.a, g.b, g.fn, g.zero_set, counted, name=g.name)
-    cache = _GaugeCache(counted_g)
     for tag_order in ("left", "right"):
-        ref = cousin_partition((0.5, 1.0), g, tag_order=tag_order)
-        p = cousin_partition((0.5, 1.0), counted_g, tag_order=tag_order,
-                             gauge_cache=cache)
-        for attr in ("lefts", "rights", "tags"):
-            assert np.array_equal(getattr(p, attr).view(np.int64),
-                                  getattr(ref, attr).view(np.int64))
-    assert len(seen) == len(set(seen))
-    with pytest.raises(ValueError):
-        cousin_partition((0.5, 1.0), g, gauge_cache=cache)
+        seen = []
+
+        def counted(xs):
+            seen.extend(np.asarray(xs, dtype=float).tolist())
+            return width(np.asarray(xs, dtype=float))
+
+        g = Gauge(0.0, 1.0, width, batch_fn=counted)
+        p = cousin_partition((0.0, 1.0), g, tag_order=tag_order)
+        got = sorted(zip(p.lefts.tolist(), p.rights.tolist(), p.tags.tolist()))
+        assert got == recurse(0.0, 1.0, tag_order)
+        assert len(seen) == len(set(seen))
 
 
 def test_cousin_partition_node_budget():
