@@ -10,6 +10,7 @@ certification failed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -287,10 +288,15 @@ def _interval_schedule(spec: str, a: float, b: float, entry: dict):
     if kind == "uniform":
         return uniform_schedule(a, b, _floats(rest, "schedule width")[0])
     if kind == "proportional":
-        vals = _floats(rest, "schedule anchor:rate")
-        if len(vals) != 2:
-            raise _Usage("proportional schedule wants anchor:rate")
-        return proportional_schedule(a, b, vals[0], vals[1],
+        # ANCHOR:RATE, or the older ANCHOR,RATE
+        try:
+            anchor, rate = (float(v) for v in rest.replace(",", ":").split(":"))
+        except ValueError:
+            raise _Usage(f"proportional schedule wants ANCHOR:RATE, got {rest!r}")
+        if not (math.isfinite(anchor) and math.isfinite(rate) and rate > 0.0):
+            raise _Usage("proportional schedule wants a finite anchor and a "
+                         f"finite rate > 0, got {rest!r}")
+        return proportional_schedule(a, b, anchor, rate,
                                      control=PrimitiveControl(entry["primitive"]))
     raise _Usage(f"unknown schedule {spec!r}")
 

@@ -113,8 +113,11 @@ class Curve:
         return int(self.seg_vec.shape[0])
 
     def _seg_index(self, s: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.cum, s, side="right") - 1
-        return np.clip(idx, 0, self.n_segments - 1)
+        idx = self.cum.searchsorted(s, side="right") - 1
+        # in place on the integers: np.clip's wrapper dominates short arrays
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, self.n_segments - 1, out=idx)
+        return idx
 
     def point_at_many(self, ss) -> np.ndarray:
         ss = np.asarray(ss, dtype=float)
@@ -348,8 +351,9 @@ class Piece:
             curve, _mult = self.parent.components[ci]
             if curve.closed and s1 == 0.0 and s2 == curve.length:
                 continue
-            atoms.append((curve.point_at(s2), m))
-            atoms.append((curve.point_at(s1), -m))
+            p2, p1 = curve.point_at_many([s2, s1])
+            atoms.append((p2, m))
+            atoms.append((p1, -m))
         return ZeroCurrent(atoms)
 
     def is_indecomposable(self) -> bool:
@@ -480,19 +484,15 @@ def theta_u(u: Callable, S: Piece) -> float:
     return S.boundary().eval(u)
 
 
-def _covered_segments(curve: Curve, s1: float, s2: float):
-    """Yield (lo, hi, seg index) of polyline segments covered by [s1, s2]."""
-    k1 = int(curve._seg_index(np.array([s1]))[0])
-    k2 = int(curve._seg_index(np.array([s2]))[0])
-    if s2 > curve.cum[k2] or k2 == k1:
-        pass
-    else:
-        k2 -= 1
-    for k in range(k1, k2 + 1):
-        lo = max(s1, float(curve.cum[k]))
-        hi = min(s2, float(curve.cum[k + 1]))
-        if hi > lo:
-            yield lo, hi, k
+def _covered_segments(curve: Curve, s1: float, s2: float) -> tuple:
+    """(lo, hi) arrays: the parts of [s1, s2] on each polyline segment it
+    covers, in arc order, empty parts dropped."""
+    k1, k2 = curve._seg_index(np.array([s1, s2]))
+    k = np.arange(k1, k2 + 1)
+    lo = np.maximum(s1, curve.cum[k])
+    hi = np.minimum(s2, curve.cum[k + 1])
+    keep = hi > lo
+    return lo[keep], hi[keep]
 
 
 def lambda_omega(omega, S: Piece) -> float:
@@ -502,6 +502,7 @@ def lambda_omega(omega, S: Piece) -> float:
     midpoint and paired with the chord; for a constant axis covector the
     terms telescope through exact summation, making the proof identity
     (the integral of the tangent recovers endpoint differences) exact.
+    A callable omega is called once per segment midpoint.
     """
     const = None
     if isinstance(omega, np.ndarray) or isinstance(omega, (list, tuple)):
@@ -509,26 +510,39 @@ def lambda_omega(omega, S: Piece) -> float:
     terms = []
     for ci, s1, s2, m in S.fragments:
         curve = S.parent.components[ci][0]
-        for lo, hi, _k in _covered_segments(curve, s1, s2):
-            pl = curve.point_at(lo)
-            ph = curve.point_at(hi)
-            w = const if const is not None else \
-                np.asarray(omega(curve.point_at(0.5 * (lo + hi))), dtype=float)
-            for i in range(w.shape[0]):
-                if w[i] != 0.0:
-                    terms.append(m * w[i] * ph[i])
-                    terms.append(-(m * w[i] * pl[i]))
+        lo, hi = _covered_segments(curve, s1, s2)
+        n = lo.shape[0]
+        if n == 0:
+            continue
+        if const is not None:
+            P = curve.point_at_many(np.concatenate([lo, hi]))
+            W = np.empty((n, const.shape[0]))
+            W[:] = const
+        else:
+            P = curve.point_at_many(np.concatenate([lo, hi, 0.5 * (lo + hi)]))
+            W = np.array([np.asarray(omega(p), dtype=float)
+                          for p in P[2 * n:]]).reshape(n, -1)
+        d = W.shape[1]
+        mw = m * W
+        # terms with w == 0 are left out: a -0.0 among them could turn a
+        # zero sum into -0.0
+        nz = W != 0.0
+        terms.extend((mw * P[n:2 * n, :d])[nz].tolist())
+        terms.extend((-(mw * P[:n, :d]))[nz].tolist())
     return exact_sum(terms)
 
 
 def lambda_f(f: Callable, S: Piece) -> float:
-    """Integral of a scalar function against the mass measure of S."""
+    """Integral of a scalar function against the mass measure of S.
+
+    f is called once per covered segment's arc midpoint."""
     terms = []
     for ci, s1, s2, m in S.fragments:
         curve = S.parent.components[ci][0]
-        for lo, hi, _k in _covered_segments(curve, s1, s2):
-            v = float(f(curve.point_at(0.5 * (lo + hi))))
-            terms.append(m * v * (hi - lo))
+        lo, hi = _covered_segments(curve, s1, s2)
+        V = np.array([float(f(p))
+                      for p in curve.point_at_many(0.5 * (lo + hi))])
+        terms.extend((m * V * (hi - lo)).tolist())
     return exact_sum(terms)
 
 
@@ -669,9 +683,11 @@ class PieceFamily:
         self.m = np.asarray(m, dtype=np.int64)
         self.tag_s = np.asarray(tag_s, dtype=float)
         if tag_points is None and self.n:
-            tag_points = np.vstack([
-                parent.components[int(c)][0].point_at(float(s))
-                for c, s in zip(self.ci, self.tag_s)])
+            tag_points = np.empty((self.n, parent.dim))
+            for c in np.unique(self.ci):
+                rows = self.ci == c
+                tag_points[rows] = parent.components[int(c)][0].point_at_many(
+                    self.tag_s[rows])
         self.tag_points = (np.asarray(tag_points, dtype=float)
                            if tag_points is not None
                            else np.empty((0, parent.dim)))
@@ -889,7 +905,9 @@ class _RowControl:
             m = np.full(n, self.mult, dtype=np.int64)
             return np.asarray(self.G.batch_rows(self.T, ci, cs, ds, m),
                               dtype=float)
-        return np.array([self.eval_one(c, d) for c, d in zip(cs, ds)])
+        return np.array([self.G(Piece(self.T, [(self.ci, c, d, self.mult)],
+                                      validate=False))
+                         for c, d in zip(cs, ds)])
 
     def union_value(self, intervals) -> float:
         if not intervals:

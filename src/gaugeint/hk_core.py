@@ -818,6 +818,9 @@ def _certify(build, total, eps: float, taus: Sequence[float]) -> tuple:
     sums = [s for _tau, s in rows]
     gap = max(sums) - min(sums)
     if not (gap < eps):
+        # the traceback keeps this frame alive as long as the exception is
+        # held, so let go of the constructions first
+        del left, right
         raise CauchyFail(sums[-2], sums[-1], eps, partial_sums=rows,
                          detail=f"spread over the tau schedule is {gap!r}")
     return sums[-2], sums[-1], gap, tuple(rows), (left, right)
@@ -1029,42 +1032,47 @@ def ac_star_probe(F, null_set: Sequence[float], gauge: Gauge, *,
                   trials: int = 64, seed: int = 0) -> float:
     """Max over fine families anchored in the null set of sum |dF|.
 
-    F may be a point primitive (callable) or anything with eval_one(c, d).
-    Families place one interval around each null point, width below the
-    gauge there, clipped to half-gaps so intervals never overlap.  The
-    first family takes every width at its cap (it dominates for monotone
-    charges); the remaining trials draw widths at random to catch
-    oscillating charges whose increments cancel at full width.  Large
+    F may be a point primitive (callable) or a control with
+    eval_many(cs, ds).  Families place one interval around each null point,
+    width below the gauge there, clipped to half-gaps so intervals never
+    overlap.  The first family takes every width at its cap (it dominates
+    for monotone charges); the remaining trials draw widths at random to
+    catch oscillating charges whose increments cancel at full width.  Large
     values against shrinking gauges witness failure of the AC* property.
     """
     import random as _random
 
-    if callable(F) and not hasattr(F, "eval_one"):
-        incr = lambda c, d: float(F(d)) - float(F(c))
-    else:
-        incr = F.eval_one
     pts = sorted(float(y) for y in null_set)
     if not pts:
         return 0.0
     a, b = gauge.host
+    ys = np.array(pts)
+    half_gaps = 0.5 * (ys[1:] - ys[:-1])
+    left_room = np.concatenate([[ys[0] - a], half_gaps])
+    right_room = np.concatenate([half_gaps, [b - ys[-1]]])
+    dys = np.array([gauge(y) for y in pts], dtype=float)
+    anchored = dys > 0.0
+    ys, dys = ys[anchored], dys[anchored]
+    left_cap = np.minimum(0.5 * dys, left_room[anchored])
+    right_cap = np.minimum(0.5 * dys, right_room[anchored])
     rng = _random.Random(seed)
     worst = 0.0
     for trial in range(trials):
-        terms = []
-        for i, y in enumerate(pts):
-            left_room = (y - a) if i == 0 else 0.5 * (y - pts[i - 1])
-            right_room = (b - y) if i == len(pts) - 1 else 0.5 * (pts[i + 1] - y)
-            dy = gauge(y)
-            if dy <= 0.0:
-                continue
-            ul = 1.0 if trial == 0 else rng.random()
-            ur = 1.0 if trial == 0 else rng.random()
-            wl = 0.999 * ul * min(0.5 * dy, left_room)
-            wr = 0.999 * ur * min(0.5 * dy, right_room)
-            if wl + wr <= 0.0:
-                continue
-            terms.append(abs(incr(y - wl, y + wr)))
-        total = compensated_sum(terms)
+        if trial == 0:
+            ul = ur = 1.0
+        else:
+            # drawn in the anchor order of the scalar loop: ul, ur per anchor
+            u = np.array([rng.random() for _ in range(2 * ys.shape[0])])
+            ul, ur = u[0::2], u[1::2]
+        wl = 0.999 * ul * left_cap
+        wr = 0.999 * ur * right_cap
+        kept = wl + wr > 0.0
+        cs, ds = ys[kept] - wl[kept], ys[kept] + wr[kept]
+        if hasattr(F, "eval_many"):
+            incr = np.asarray(F.eval_many(cs, ds), dtype=float)
+        else:
+            incr = _eval_points(F, ds) - _eval_points(F, cs)
+        total = compensated_sum(np.abs(incr).tolist())
         if total > worst:
             worst = total
     return worst

@@ -92,6 +92,13 @@ class ArcFunction:
     @classmethod
     def from_ambient(cls, T: Current1D, f: Callable, *,
                      name: str = "arc-fn") -> "ArcFunction":
+        """f on ambient points, pulled back through each arc chart.
+
+        The points come from one chart call, but f is called once per
+        point: an f written for one point that indexes p[0], p[1] would,
+        given the (n, dim) array, read its rows and still return shape (n,)
+        when n == dim, so a batch attempt cannot tell a wrong answer apart.
+        """
         fns = {}
         for ci, (curve, _m) in enumerate(T.components):
             def fn(ss, curve=curve):

@@ -105,6 +105,31 @@ def test_failed_chain_certification_writes_partial_sums(tmp_path):
     assert len(rows) >= 2
 
 
+def test_proportional_schedule_anchor_zero(tmp_path):
+    # the documented ANCHOR:RATE form, anchored where the gauge vanishes at 0
+    code = main(["integrate", "--fn", "x2", "--schedule", "proportional:0:0.01",
+                 "--eps", "1e-2", "--out-dir", str(tmp_path / "colon")])
+    assert code == 0
+    _, header, rows = read_csv(tmp_path / "colon" / "integrate.csv")
+    row = dict(zip(header, rows[0]))
+    assert abs(float(row["value"]) - 1.0 / 3.0) < 1e-2
+    # the comma form reads the same two fields
+    assert main(["integrate", "--fn", "x2", "--schedule", "proportional:0,0.01",
+                 "--eps", "1e-2", "--out-dir", str(tmp_path / "comma")]) == 0
+    assert (tmp_path / "comma" / "integrate.csv").read_bytes() == \
+        (tmp_path / "colon" / "integrate.csv").read_bytes()
+
+
+@pytest.mark.parametrize("spec", ["proportional:0:0", "proportional:0:-0.5",
+                                  "proportional:0", "proportional:a:0.1",
+                                  "proportional:0:0.1:2", "proportional:nan:0.1"])
+def test_proportional_schedule_bad_spec_is_usage_error(tmp_path, capsys, spec):
+    code = main(["integrate", "--fn", "x2", "--schedule", spec,
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "proportional schedule wants" in capsys.readouterr().err
+
+
 def test_unknown_integrand_is_usage_error(tmp_path, capsys):
     code = main(["integrate", "--fn", "wibble", "--out-dir", str(tmp_path)])
     assert code == 1

@@ -6,9 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from gaugeint import (
     AmbientGauge,
+    ArcFunction,
     Curve,
     Current1D,
     NoPieces,
+    Piece,
+    PieceCharge,
+    PieceFamily,
     PointOffSupport,
     SpecOutOfRange,
     boundary,
@@ -348,3 +352,156 @@ def test_vertex_split_additivity_exact(seed):
     assert lambda_omega(omega, S1) + lambda_omega(omega, S2) == \
         lambda_omega(omega, full)
     assert is_piece(S1, T) and is_piece(S2, T)
+
+
+# ---------------------------------------------------------------------------
+# batched arc-chart paths against the per-point chart
+
+def _three_component_chain():
+    """Open polyline, closed heptagon and a multiplicity-2 polyline, with
+    segment lengths whose arc coordinates are not short binary fractions."""
+    t = np.linspace(0.0, 2.0 * math.pi, 8)
+    hept = np.column_stack([0.7 * np.cos(t) + 3.0, 0.7 * np.sin(t)])
+    hept[-1] = hept[0]
+    return Current1D([
+        (Curve(np.array([[0.0, 0.0], [0.3, 0.1], [0.7, -0.2], [1.1, 0.4]])), 1),
+        (Curve(hept, closed=True), 1),
+        (Curve(np.array([[-2.0, 0.0], [-1.5, 1.0 / 3.0], [-1.0, 0.2],
+                         [-0.6, 0.5]])), 2),
+    ])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _fragments(T):
+    """Fragments from s = 0, to s = length, between exact vertex arc
+    coordinates, inside one segment and across several, per component."""
+    rows = []
+    for ci, (curve, mult) in enumerate(T.components):
+        c, L = curve.cum, curve.length
+        rows += [(ci, 0.0, L, mult), (ci, c[1], c[3], 1), (ci, 0.05, c[2], 1),
+                 (ci, c[1], L, mult), (ci, 0.1, 0.2, 1), (ci, 0.0, c[1], 1),
+                 (ci, 0.5 * (c[0] + c[1]), 0.25 * c[1] + 0.75 * c[2], mult)]
+    return rows
+
+
+def _covered_ref(curve, s1, s2):
+    """The per-segment loop the batched paths replace."""
+    k1 = int(curve._seg_index(np.array([s1]))[0])
+    k2 = int(curve._seg_index(np.array([s2]))[0])
+    if not (s2 > curve.cum[k2] or k2 == k1):
+        k2 -= 1
+    for k in range(k1, k2 + 1):
+        lo = max(s1, float(curve.cum[k]))
+        hi = min(s2, float(curve.cum[k + 1]))
+        if hi > lo:
+            yield lo, hi
+
+
+def test_piece_family_tag_points_match_point_at():
+    T = _three_component_chain()
+    rows = []
+    for ci, (curve, mult) in enumerate(T.components):
+        # vertices at even cut indices, segment midpoints at odd ones
+        cuts = np.sort(np.concatenate([curve.cum, 0.5 * (curve.cum[:-1]
+                                                         + curve.cum[1:])]))
+        for j, (s1, s2) in enumerate(zip(cuts[:-1], cuts[1:])):
+            tag = s1 if j % 2 == 0 else (
+                s2 if s2 == curve.length else 0.5 * (s1 + s2))
+            rows.append((ci, s1, s2, mult, tag))
+    # interleave the components; tags hit 0, the length and every vertex
+    rows = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    ci, s1, s2, m, tag_s = (np.array(col) for col in zip(*rows))
+    fam = PieceFamily(T, ci, s1, s2, m, tag_s)
+    ref = np.vstack([T.components[c][0].point_at(s) for c, s in zip(ci, tag_s)])
+    assert np.any(np.diff(ci) < 0)
+    for c, (curve, _m) in enumerate(T.components):
+        assert set(curve.cum.tolist()) <= set(tag_s[ci == c].tolist())
+    assert _bits(fam.tag_points) == _bits(ref)
+
+
+def test_piece_boundary_matches_point_at():
+    from gaugeint.currents1d import ZeroCurrent
+    T = _three_component_chain()
+    frs = _fragments(T)
+    pieces = [Piece(T, [row]) for row in frs]
+    pieces.append(Piece(T, frs, validate=False))
+    for S in pieces:
+        atoms = []
+        for ci, s1, s2, m in S.fragments:
+            curve = T.components[ci][0]
+            if not (curve.closed and s1 == 0.0 and s2 == curve.length):
+                atoms += [(curve.point_at(s2), m), (curve.point_at(s1), -m)]
+        assert S.boundary().atoms == ZeroCurrent(atoms).atoms
+    assert len(pieces[-1].boundary()) > 0
+
+
+def test_lambda_omega_and_lambda_f_match_point_at():
+    T = _three_component_chain()
+    omega_const = np.array([0.3, -1.7])
+    seen = []
+
+    def omega(p):
+        seen.append(p.copy())
+        return np.array([math.sin(p[0]), 0.0 if p[1] < 0.0 else p[0] * p[1]])
+
+    def f(p):
+        return math.exp(p[0]) - p[1] ** 3
+
+    for row in _fragments(T):
+        S = Piece(T, [row])
+        ci, s1, s2, m = S.fragments[0]
+        curve = T.components[ci][0]
+        segs = list(_covered_ref(curve, s1, s2))
+        mids = [curve.point_at(0.5 * (lo + hi)) for lo, hi in segs]
+        for om, w_of in ((omega_const, lambda p: omega_const), (omega, omega)):
+            terms = []
+            for (lo, hi), pm in zip(segs, mids):
+                pl, ph, w = curve.point_at(lo), curve.point_at(hi), w_of(pm)
+                for i in range(w.shape[0]):
+                    if w[i] != 0.0:
+                        terms += [m * w[i] * ph[i], -(m * w[i] * pl[i])]
+            seen.clear()
+            assert lambda_omega(om, S).hex() == math.fsum(terms).hex()
+        # a callable omega is called once per segment, at its midpoint
+        assert _bits(seen) == _bits(mids)
+        ref_f = math.fsum(m * float(f(pm)) * (hi - lo)
+                          for (lo, hi), pm in zip(segs, mids))
+        assert lambda_f(f, S).hex() == ref_f.hex()
+
+
+def test_arc_function_from_ambient_matches_point_at():
+    T = _three_component_chain()
+    vector = lambda P: np.asarray(P)[..., 0] * 1.3 - np.asarray(P)[..., 1] ** 2
+    scalar = lambda p: math.hypot(p[0], p[1])   # raises on an (n, 2) array
+    # one point at a time only: on an (n, 2) array it sums rows, and still
+    # returns shape (n,) when n == 2
+    rows = lambda p: p[0] ** 2 + p[1] ** 2
+    for f in (vector, scalar, rows):
+        F = ArcFunction.from_ambient(T, f)
+        for ci, (curve, _m) in enumerate(T.components):
+            ss = np.concatenate([curve.cum, [0.123, 0.5 * curve.length]])
+            for part in (ss, ss[:2]):
+                ref = [float(f(curve.point_at(s))) for s in part]
+                assert _bits(F.fns[ci](part)) == _bits(ref)
+
+
+def test_row_control_eval_many_calls_charge_once_per_pair():
+    from gaugeint.currents1d import _RowControl
+    T = _three_component_chain()
+    calls = []
+    u = lambda p: p[0] - 2.0 * p[1]
+    G = PieceCharge(lambda S: calls.append(S) or theta_u(u, S))
+    ctl = _RowControl(G, T, 2, 2)
+    cs = np.array([0.0, 0.2, T.components[2][0].cum[1]])
+    ds = np.array([0.2, 0.9, T.components[2][0].length])
+    ref = [ctl.eval_one(c, d) for c, d in zip(cs, ds)]
+    calls.clear()
+    # a counter wrapped around eval_one must not also see eval_many's pairs
+    ctl.eval_one = lambda c, d: pytest.fail("eval_many went through eval_one")
+    got = ctl.eval_many(cs, ds)
+    assert [S.fragments for S in calls] == \
+        [((2, c, d, 2),) for c, d in zip(cs.tolist(), ds.tolist())]
+    assert _bits(got) == _bits(ref)

@@ -22,7 +22,8 @@ from gaugeint import (
     saks_henstock_audit,
     uniform_schedule,
 )
-from gaugeint.hk_core import TaggedFamily1D
+from gaugeint.hk_core import FamilyConstruction, TaggedFamily1D
+from gaugeint.sums import compensated_sum
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +211,14 @@ def test_hk_integrate_cauchyfail_on_tight_eps():
     assert len(rows) == 2
     assert [t for t, _s in rows] == [1e-9 / 4.0] * 2
     assert [s for _t, s in rows] == [info.value.sum1, info.value.sum2]
+    # a held exception keeps its traceback's frames, but not the two
+    # constructions, alive
+    held = []
+    tb = info.value.__traceback__
+    while tb is not None:
+        held += tb.tb_frame.f_locals.values()
+        tb = tb.tb_next
+    assert not any(isinstance(v, FamilyConstruction) for v in held)
 
 
 def test_hk_integrate_rejects_bad_eps():
@@ -344,6 +353,52 @@ def test_ac_star_smooth_primitive_passes():
     assert p8 < 2.0 * float(np.sum(anchors)) * 3.0 ** -8 + 1e-12
     assert p10 < 0.01
     assert p10 < p8 / 5.0
+
+
+def _ac_star_scalar(F, null_set, gauge, trials, seed):
+    """The one-anchor-at-a-time probe that ac_star_probe batches."""
+    import random
+    incr = F.eval_one if hasattr(F, "eval_one") else \
+        (lambda c, d: float(F(d)) - float(F(c)))
+    pts = sorted(float(y) for y in null_set)
+    a, b = gauge.host
+    rng = random.Random(seed)
+    worst = 0.0
+    for trial in range(trials):
+        terms = []
+        for i, y in enumerate(pts):
+            left_room = (y - a) if i == 0 else 0.5 * (y - pts[i - 1])
+            right_room = (b - y) if i == len(pts) - 1 else 0.5 * (pts[i + 1] - y)
+            dy = gauge(y)
+            if dy <= 0.0:
+                continue
+            ul = 1.0 if trial == 0 else rng.random()
+            ur = 1.0 if trial == 0 else rng.random()
+            wl = 0.999 * ul * min(0.5 * dy, left_room)
+            wr = 0.999 * ur * min(0.5 * dy, right_room)
+            if wl + wr <= 0.0:
+                continue
+            terms.append(abs(incr(y - wl, y + wr)))
+        worst = max(worst, compensated_sum(terms))
+    return worst
+
+
+def test_ac_star_probe_matches_scalar_loop():
+    dev = gallery.devil_staircase(levels=16)
+    square = lambda x: x * x
+    # oscillates at the scale of the widths, so the random trials, not the
+    # full-width first one, set the maximum
+    saw = lambda x: (x * 331.0) % 1.0
+    anchors = dev["level_points"](5)
+    uniform = Gauge.uniform(0.0, 1.0, 3.0 ** -5)
+    # vanishes at one anchor, which then draws no widths
+    zeroed = Gauge.proportional(0.0, 1.0, float(anchors[7]), 0.05)
+    for F in (dev["fn"], square, PrimitiveControl(square), saw):
+        for g in (uniform, zeroed):
+            for seed in (0, 1, 12345):
+                got = ac_star_probe(F, anchors, g, trials=6, seed=seed)
+                ref = _ac_star_scalar(F, anchors, g, 6, seed)
+                assert got.hex() == ref.hex()
 
 
 def test_pointwise_lip_shrinks_to_the_slope():
