@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import (CauchyFail, ContinuityBudgetFail, DepthExceeded,
                      GaugeIntError, SearchFail, TailBudgetFail)
-from .hk_core import (_SEED_ORDERS, PrimitiveControl, hk_integrate,
-                      howard_cousin_family, as_schedule, ftc_schedule,
-                      saks_henstock_audit, uniform_schedule,
+from .hk_core import (_SEED_ORDERS, PrimitiveControl, _shared_seeds,
+                      hk_integrate, howard_cousin_family, as_schedule,
+                      ftc_schedule, saks_henstock_audit, uniform_schedule,
                       proportional_schedule)
 from .interval_charges import full_family_integrate
 from .hkp_integral import (ftc_verify, hkp_integrate,
@@ -473,14 +473,16 @@ def _cmd_partition(args) -> int:
     control = sched.control
     tau = args.tau_val if args.tau_val is not None else sched.tau(eps)
     rows = []
-    for seed, (tag_order, zero_order) in _SEED_ORDERS.items():
-        fc = howard_cousin_family((a, b), gauge, control, tau,
-                                  tag_order=tag_order, zero_order=zero_order,
-                                  max_nodes=8_000_000)
-        part = fc.partition
-        widths = part.rights - part.lefts
-        rows.append((seed, part.n, fc.carves.n, float(widths.min()),
-                     float(widths.max()), fc.remainder_value))
+    # one seed store: the right seed reuses the left seed's bisection
+    with _shared_seeds():
+        for seed, (tag_order, zero_order) in _SEED_ORDERS.items():
+            fc = howard_cousin_family((a, b), gauge, control, tau,
+                                      tag_order=tag_order, zero_order=zero_order,
+                                      max_nodes=8_000_000)
+            part = fc.partition
+            widths = part.rights - part.lefts
+            rows.append((seed, part.n, fc.carves.n, float(widths.min()),
+                         float(widths.max()), fc.remainder_value))
     _write_csv(args.out / "partition.csv",
                ("seed", "intervals", "carves", "min_width", "max_width",
                 "remainder"),

@@ -23,6 +23,8 @@ Numerical conventions (fixed so runs are reproducible):
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -181,7 +183,8 @@ class TaggedFamily1D:
         self.lefts = np.asarray(lefts, dtype=float)
         self.rights = np.asarray(rights, dtype=float)
         self.tags = np.asarray(tags, dtype=float)
-        if self.lefts.ndim != 1 or self.lefts.shape != self.rights.shape != self.tags.shape:
+        if self.lefts.ndim != 1 or not (
+                self.lefts.shape == self.rights.shape == self.tags.shape):
             raise ValueError("lefts/rights/tags must be equal-length 1-d arrays")
         order = np.argsort(self.lefts, kind="stable")
         self.lefts = self.lefts[order]
@@ -272,6 +275,27 @@ _TAG_ORDERS = ("left", "right")
 _ZERO_ORDERS = ("declared", "reversed")
 
 
+# The seed store of the certification call in progress, or None outside
+# one; see ``_shared_seeds``.
+_SEED_STORE: ContextVar = ContextVar("gaugeint_seed_store", default=None)
+
+
+@contextmanager
+def _shared_seeds():
+    """Open a seed store for the duration of one certification call.
+
+    Inside it a left-first ``cousin_partition`` also works out the
+    right-first tags on its mesh and leaves them in the store, and a
+    right-first call on the same gauge object, segment and budgets takes
+    them instead of bisecting again.  Nothing outlives the block.
+    """
+    token = _SEED_STORE.set({})
+    try:
+        yield
+    finally:
+        _SEED_STORE.reset(token)
+
+
 def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
                      max_depth: int = 64, max_nodes: int = 4_000_000) -> TaggedFamily1D:
     """Fine tagged partition of the host by repeated bisection.
@@ -281,6 +305,19 @@ def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
     endpoint (reversed for tag_order="right"), first hit wins.  Requires a
     positive gauge: a declared zero set means no partition can be fine and
     the caller should be using howard_cousin_family instead.
+
+    Inside a certification call (``hk_integrate``, ``full_family_integrate``
+    and the CLI ``partition`` command open a seed store) the two seeds share
+    one bisection pass per segment: which intervals fit does not depend on
+    the candidate order, so the left-first call also picks the right-first
+    tags on the same mesh, and the right-first call on the same gauge
+    object, segment and budgets returns them, bit for bit the family it
+    would have built.  The store only assumes that, within the one call,
+    the gauge gives a point the same value whatever batch it comes in; it
+    carries nothing from one call to the next, and a segment the seeds
+    carve differently is bisected by each seed on its own.  Outside a
+    certification call every call bisects alone and evaluates only the
+    points its own order needs.
     """
     if tag_order not in _TAG_ORDERS:
         raise ValueError(f"tag order must be one of {_TAG_ORDERS}")
@@ -289,23 +326,53 @@ def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
         raise InvalidGauge("gauge vanishes inside the host; use howard_cousin_family")
     if not (gauge.a <= a < b <= gauge.b):
         raise InvalidGauge(f"host [{a}, {b}] not inside gauge host {gauge.host}")
+    store = _SEED_STORE.get()
+    # the entry holds the gauge, so its id is not reused while the key lives
+    key = (id(gauge), a, b, max_depth, max_nodes)
+    if store is not None and tag_order == "right" and key in store:
+        _gauge, lefts, rights, tags = store.pop(key)
+        return TaggedFamily1D((a, b), lefts, rights, tags)
+    orders = ("left", "right") if store is not None and tag_order == "left" \
+        else (tag_order,)
     # the level arrays are freed when _cousin_vector returns, before the
     # family is assembled
-    done_l, done_r, done_t = _cousin_vector(a, b, gauge, tag_order, max_depth,
+    done_l, done_r, done_t = _cousin_vector(a, b, gauge, orders, max_depth,
                                             max_nodes)
     if not done_l:
-        raise DepthExceeded("bisection produced no intervals")
-    return TaggedFamily1D((a, b), np.concatenate(done_l),
-                          np.concatenate(done_r), np.concatenate(done_t))
+        raise DepthExceeded(f"{gauge.name}: bisection produced no intervals")
+    lefts = np.concatenate(done_l)
+    fam = TaggedFamily1D((a, b), lefts, np.concatenate(done_r),
+                         np.concatenate(done_t[0]))
+    if len(orders) == 2:
+        # right-first tags in the order the family sorted its intervals
+        other = np.concatenate(done_t[1])[np.argsort(lefts, kind="stable")]
+        store[key] = (gauge, fam.lefts, fam.rights, other)
+    return fam
 
 
-def _cousin_vector(a, b, gauge, tag_order, max_depth, max_nodes):
-    """Bisection, one numpy pass per depth.  ``gC``, ``gM`` and ``gD`` hold
-    the gauge at each interval's left end, midpoint and right end, nan
-    until evaluated; a child inherits its ends' values from its parent, so
-    below the root only midpoints are evaluated.  Returns the fitted
-    intervals as lists of (lefts, rights, tags) arrays per depth."""
-    done_l, done_r, done_t = [], [], []
+def _fill(gauge, vals, xs, mask) -> None:
+    """Write the gauge at ``xs[mask]`` into ``vals[mask]``: one batch call."""
+    if mask.any():
+        vals[mask] = gauge.eval_many(xs[mask])
+
+
+def _cousin_vector(a, b, gauge, orders, max_depth, max_nodes):
+    """Bisection, one numpy pass per depth, for each tag order in ``orders``.
+
+    ``gC``, ``gM`` and ``gD`` hold the gauge at each interval's left end,
+    midpoint and right end, nan until evaluated (nan never fits).  An order
+    tries its near end first (C for "left", D for "right"), then the
+    midpoint where the near end does not fit, then its far end where
+    neither does.  A child inherits its ends' values from its open parent,
+    which evaluated all three, so below the root only midpoints are
+    evaluated.  Whether an interval fits does not depend on the order, so
+    every order sees the same mesh and only the tags differ; with both
+    orders a midpoint is evaluated once, wherever either order needs it.
+    Returns the fitted intervals as lists of lefts and rights arrays per
+    depth, and per order a list of tag arrays per depth."""
+    left, right = "left" in orders, "right" in orders
+    done_l, done_r = [], []
+    done_t = tuple([] for _ in orders)
     C = np.array([a])
     D = np.array([b])
     gC = np.array([np.nan])
@@ -317,37 +384,48 @@ def _cousin_vector(a, b, gauge, tag_order, max_depth, max_nodes):
             break
         nodes += n
         if nodes > max_nodes:
-            raise DepthExceeded(f"node budget {max_nodes} exhausted at depth {depth}")
+            raise DepthExceeded(f"{gauge.name}: node budget {max_nodes} "
+                                f"exhausted at depth {depth}")
         W = D - C
         M = 0.5 * (C + D)
         gM = np.full(n, np.nan)
-        cands = ((C, gC), (M, gM), (D, gD))
-        tag = np.full(n, np.nan)
-        open_mask = np.ones(n, dtype=bool)
-        for cand, vals in (cands if tag_order == "left" else cands[::-1]):
-            if not open_mask.any():
-                break
-            idx = np.nonzero(open_mask)[0]
-            deltas = vals[idx]
-            new = np.isnan(deltas)
-            if new.any():
-                deltas[new] = gauge.eval_many(cand[idx[new]])
-                vals[idx[new]] = deltas[new]
-            hit = W[idx] < deltas
-            tag[idx[hit]] = cand[idx[hit]]
-            open_mask[idx[hit]] = False
-        fitted = ~open_mask
+        if left:
+            _fill(gauge, gC, C, np.isnan(gC))
+        if right:
+            _fill(gauge, gD, D, np.isnan(gD))
+        fitC, fitD = W < gC, W < gD
+        need_mid = np.zeros(n, dtype=bool)
+        if left:
+            need_mid |= ~fitC
+        if right:
+            need_mid |= ~fitD
+        _fill(gauge, gM, M, need_mid)
+        fitM = W < gM
+        if left:
+            _fill(gauge, gD, D, ~(fitC | fitM) & np.isnan(gD))
+        if right:
+            _fill(gauge, gC, C, ~(fitD | fitM) & np.isnan(gC))
+        fitC, fitD = W < gC, W < gD
+        fitted = fitC | fitM | fitD
+        open_mask = ~fitted
         if fitted.any():
             done_l.append(C[fitted])
             done_r.append(D[fitted])
-            done_t.append(tag[fitted])
+            for order, tags in zip(orders, done_t):
+                if order == "left":
+                    tag = np.where(fitC, C, np.where(fitM, M, D))
+                else:
+                    tag = np.where(fitD, D, np.where(fitM, M, C))
+                tags.append(tag[fitted])
         if open_mask.any():
             if depth == max_depth:
                 c0 = float(C[open_mask][0])
-                raise DepthExceeded(f"max depth {max_depth} reached near {c0!r}")
+                raise DepthExceeded(f"{gauge.name}: max depth {max_depth} "
+                                    f"reached near {c0!r}")
             Cr, Dr, Mr = C[open_mask], D[open_mask], M[open_mask]
             if not np.all((Cr < Mr) & (Mr < Dr)):
-                raise DepthExceeded("float resolution exhausted during bisection")
+                raise DepthExceeded(f"{gauge.name}: float resolution exhausted "
+                                    "during bisection")
             C = np.concatenate([Cr, Mr])
             D = np.concatenate([Mr, Dr])
             gMr = gM[open_mask]
@@ -367,9 +445,17 @@ def _eval_points(f, P) -> np.ndarray:
     """f at each point of P (the rows of a 2-d P, the entries of a 1-d P).
 
     One batch call f(P) when it returns shape (n,); otherwise, or when the
-    batch call raises, float(f(p)) point by point.
+    batch call raises, float(f(p)) point by point.  A square 2-d P (as many
+    points as coordinates) goes point by point first: there a per-point f
+    that indexes p[0], p[1], ... also returns shape (n,) on the batch, with
+    the rows mixed, so the batch call is made only if a point call raises.
     """
     P = np.asarray(P, dtype=float)
+    if P.ndim == 2 and P.shape[0] == P.shape[1]:
+        try:
+            return np.array([float(f(p)) for p in P])
+        except Exception:
+            pass
     try:
         vals = np.asarray(f(P), dtype=float)
         if vals.shape == (P.shape[0],):
@@ -836,7 +922,8 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
     reversed order for the second seed).  Their Riemann sums must agree
     within eps, else CauchyFail with both sums as partial-sum rows.  The
     returned value is the midpoint of the two certified sums and
-    ``epsilon`` is the achieved gap.
+    ``epsilon`` is the achieved gap.  The seeds bisect each segment they
+    share in one pass (see ``cousin_partition``).
 
     For gauges with a declared zero set the partition is carves plus covered
     family; carve pairs are tagged at the zero points and kept in the sum,
@@ -862,7 +949,8 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
         return riemann_sum(f, part, vectorized=vectorized)
 
     tau = sched.tau(eps)
-    s1, s2, gap, _rows, cons = _certify(build, total, eps, [tau])
+    with _shared_seeds():
+        s1, s2, gap, _rows, cons = _certify(build, total, eps, [tau])
     cert = Certificate(
         sum1=s1, sum2=s2, gauge_name=gauge.name,
         sizes=(cons[0].partition.n, cons[1].partition.n),
@@ -897,6 +985,7 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
         raise ValueError("host must be nondegenerate and eps positive")
     coeff = (eps / 2.0) / L
     exc = [float(y) for y in exceptional]
+    gname = name or f"ftc[eps={eps!r}]"
 
     exc_delta = {}
     for j, y in enumerate(exc, start=1):
@@ -955,9 +1044,9 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
             unresolved[hit] = False
             prev[sel[~ok]] = k
         if unresolved.any():
-            bad = x[unresolved][0]
+            bad = float(x[unresolved][0])
             raise SearchFail(
-                f"no admissible radius above the floor at x = {bad!r}")
+                f"{gname}: no admissible radius above the floor at x = {bad!r}")
         while True:
             active = (hi - lo) > 1
             if not active.any():
@@ -972,7 +1061,6 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
     def scalar(x):
         return float(batch(np.array([float(x)]))[0])
 
-    gname = name or f"ftc[eps={eps!r}]"
     zs = tuple(y for y, d in exc_delta.items() if d == 0.0)
     # Carve edges must stay clear of the sampled-fan resolution floor.
     return Gauge(a, b, scalar, zs, batch if vectorized else None, name=gname,

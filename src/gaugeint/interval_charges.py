@@ -22,6 +22,7 @@ from .hk_core import (
     Gauge,
     HKResult,
     _certify,
+    _shared_seeds,
     _tau_list,
     as_schedule,
     howard_cousin_family,
@@ -315,7 +316,8 @@ def full_family_integrate(f, G: IntervalCharge, gauge_schedule,
     Families are built by howard_cousin_family: fine, tags off the gauge's
     zero set, uncovered remainder with |G| < tau.  Two independent builds
     (left/right seeds, carve budget order flipped) must agree within eps,
-    else CauchyFail carrying the (tau, sum) rows.  ``tau_schedule`` is
+    else CauchyFail carrying the (tau, sum) rows; the builds bisect each
+    segment they share in one pass.  ``tau_schedule`` is
     read as in hkp_integrate: None for eps/4, a number, an eps -> tau
     callable, or a list of budgets (the left seed is built at each).
     The value is the midpoint of the two family sums; against a partition
@@ -333,9 +335,10 @@ def full_family_integrate(f, G: IntervalCharge, gauge_schedule,
                                     tag_order=tag_order, zero_order=zero_order,
                                     max_depth=max_depth, max_nodes=max_nodes)
 
-    s1, s2, gap, _rows, cons = _certify(
-        build, lambda fc: riemann_sum(f, fc.family, vectorized=vectorized),
-        eps, taus)
+    with _shared_seeds():
+        s1, s2, gap, _rows, cons = _certify(
+            build, lambda fc: riemann_sum(f, fc.family, vectorized=vectorized),
+            eps, taus)
     cert = Certificate(sum1=s1, sum2=s2, gauge_name=gauge.name,
                        sizes=(cons[0].family.n, cons[1].family.n),
                        tau=taus[-1],

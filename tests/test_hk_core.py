@@ -1,4 +1,7 @@
+import gc
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from gaugeint import (
     InvalidGauge,
     PrimitiveControl,
     ac_star_probe,
+    as_schedule,
     cousin_partition,
     ftc_schedule,
     gallery,
@@ -22,7 +26,8 @@ from gaugeint import (
     saks_henstock_audit,
     uniform_schedule,
 )
-from gaugeint.hk_core import FamilyConstruction, TaggedFamily1D
+from gaugeint.errors import SearchFail
+from gaugeint.hk_core import FamilyConstruction, TaggedFamily1D, _eval_points
 from gaugeint.sums import compensated_sum
 
 
@@ -92,12 +97,14 @@ def test_cousin_partition_matches_recursion_each_point_once():
     def width(x):
         return 0.002 + 0.05 * x * x
 
-    def recurse(c, d, order):
+    def recurse(c, d, order, evaluated):
         m = 0.5 * (c + d)
         for x in ((c, m, d) if order == "left" else (d, m, c)):
+            evaluated.add(x)
             if d - c < width(x):
                 return [(c, d, x)]
-        return recurse(c, m, order) + recurse(m, d, order)
+        return (recurse(c, m, order, evaluated)
+                + recurse(m, d, order, evaluated))
 
     for tag_order in ("left", "right"):
         seen = []
@@ -109,14 +116,25 @@ def test_cousin_partition_matches_recursion_each_point_once():
         g = Gauge(0.0, 1.0, width, batch_fn=counted)
         p = cousin_partition((0.0, 1.0), g, tag_order=tag_order)
         got = sorted(zip(p.lefts.tolist(), p.rights.tolist(), p.tags.tolist()))
-        assert got == recurse(0.0, 1.0, tag_order)
+        evaluated = set()
+        assert got == recurse(0.0, 1.0, tag_order, evaluated)
         assert len(seen) == len(set(seen))
+        # outside a certification call the engine evaluates only the points
+        # its own order needs, as the recursion does
+        assert set(seen) == evaluated
 
 
 def test_cousin_partition_node_budget():
     for g in _width_gauges(1e-6):
-        with pytest.raises(DepthExceeded):
+        with pytest.raises(DepthExceeded,
+                           match=re.escape(f"{g.name}: node budget 100 ")):
             cousin_partition((0.0, 1.0), g, max_nodes=100)
+
+
+def test_tagged_family_rejects_unequal_lengths():
+    for tags in ([0.1, 0.6, 0.9], [0.1]):
+        with pytest.raises(ValueError, match="equal-length"):
+            TaggedFamily1D((0.0, 1.0), [0.0, 0.5], [0.5, 1.0], tags)
 
 
 @given(st.floats(min_value=0.01, max_value=0.5),
@@ -129,6 +147,93 @@ def test_cousin_partition_properties_random(h, a, span):
     part = cousin_partition((a, b), g)
     assert part.is_partition
     assert part.is_fine(g)
+
+
+# ---------------------------------------------------------------------------
+# both certification seeds from one bisection pass
+
+_SEEDS = (("left", "declared"), ("right", "reversed"))
+
+
+def _counted_gauge(zeros=()):
+    """Gauge on [0, 1] vanishing at ``zeros``, recording every point its
+    batch evaluator (the one bisection uses) is asked for."""
+    seen = []
+
+    def width(xs):
+        xs = np.asarray(xs, dtype=float)
+        d = 0.002 + 0.05 * xs * xs
+        for y in zeros:
+            d = np.minimum(d, 0.3 * np.abs(xs - y))
+        return d
+
+    def batch(xs):
+        seen.extend(np.asarray(xs, dtype=float).tolist())
+        return width(xs)
+
+    return Gauge(0.0, 1.0, lambda x: float(width(x)), tuple(zeros), batch,
+                 name="counted"), seen
+
+
+def _assert_same_construction(got, want):
+    for fa, fb in ((got.family, want.family), (got.carves, want.carves)):
+        for attr in ("lefts", "rights", "tags"):
+            assert getattr(fa, attr).tobytes() == getattr(fb, attr).tobytes()
+    assert got.remainder_value == want.remainder_value
+
+
+def _certify_against_lone_builds(zeros):
+    """hk_integrate at eps 0.1 next to two lone builds of its seeds."""
+    eps = 0.1
+    f = lambda x: 3.0 * x * x
+    gauge, seen = _counted_gauge(zeros)
+    control = PrimitiveControl(lambda x: x ** 3)
+    res = hk_integrate(f, as_schedule(gauge, control=control), eps,
+                       vectorized=True, keep_families=True)
+    n_certify = len(seen)
+    lone = [howard_cousin_family(gauge.host, gauge, control, eps / 4.0,
+                                 tag_order=t, zero_order=z,
+                                 f_weight=f if zeros else None,
+                                 eps_weight=eps / 2.0)
+            for t, z in _SEEDS]
+    for got, want in zip(res.certificate.families, lone):
+        _assert_same_construction(got, want)
+    cert = res.certificate
+    assert (cert.sum1, cert.sum2) == tuple(
+        riemann_sum(f, fc.partition, vectorized=True) for fc in lone)
+    return lone, seen[:n_certify], seen[n_certify:]
+
+
+@pytest.mark.parametrize("zeros", [(), (0.4,)])
+def test_hk_integrate_seeds_share_one_bisection(zeros):
+    lone, certified, lone_seen = _certify_against_lone_builds(zeros)
+    # no point is evaluated twice across both seeds ...
+    assert len(certified) == len(set(certified))
+    # ... where the two lone builds evaluate nearly every point twice
+    assert set(lone_seen) == set(certified)
+    assert len(lone_seen) > 1.9 * len(certified)
+
+
+def test_hk_integrate_seeds_on_different_segments_bisect_alone():
+    # reversed carve budgets around two zeros give the seeds different
+    # segments; each is bisected on its own and certifies to the same bits
+    lone, _certified, _lone_seen = _certify_against_lone_builds((0.3, 0.7))
+    assert lone[0].carves.lefts.tolist() != lone[1].carves.lefts.tolist()
+
+
+def test_seed_store_does_not_outlive_the_call():
+    for eps, fails in ((0.1, False), (1e-12, True)):
+        gauge, _seen = _counted_gauge()
+        ref = weakref.ref(gauge)
+        try:
+            hk_integrate(lambda x: x * x, gauge, eps, vectorized=True)
+            raised = False
+        except CauchyFail:
+            raised = True
+        assert raised == fails
+        del gauge
+        gc.collect()
+        assert ref() is None
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +412,32 @@ def test_howard_cousin_remainder_under_tau(square_sine_pair):
     assert val < tau
     # carves + covered family partition the host
     assert fc.partition.is_partition
+
+
+def test_ftc_gauge_search_fail_names_the_gauge(square_sine_pair):
+    # a known defect, pinned by its message: at this ordinary point the
+    # gallop's probe exponents miss the band of admissible radii
+    pair = square_sine_pair
+    gauge = ftc_schedule(pair["F"], pair["Fprime"], list(pair["exceptional"]),
+                         pair["host"]).gauge(1e-3)
+    with pytest.raises(SearchFail, match=re.escape(
+            "ftc[eps=0.001]: no admissible radius above the floor at "
+            "x = 0.2518768310546875")):
+        gauge.eval_many([0.2518768310546875])
+
+
+def test_eval_points_square_batch_goes_point_by_point():
+    P = np.array([[0.3, 0.4], [1.0, 2.0]])
+    per_point = lambda p: p[0] ** 2 + p[1] ** 2
+    got = _eval_points(per_point, P)
+    assert got.tolist() == [per_point(p) for p in P]
+    assert got.tolist() != per_point(P).tolist()
+    # batch functions keep the bits of their batch call, square P or not
+    batch_only = lambda Q: Q[:, 0] ** 2 - 3.0 * Q[:, 1]
+    either = lambda Q: np.asarray(Q)[..., 0] ** 2 - 3.0 * np.asarray(Q)[..., 1]
+    for Q in (P, np.array([[0.3, 0.4], [1.0, 2.0], [-0.7, 0.1]])):
+        for f in (batch_only, either):
+            assert _eval_points(f, Q).tobytes() == batch_only(Q).tobytes()
 
 
 def test_carve_needs_control():

@@ -17,7 +17,9 @@ from gaugeint import (
     positivize_gauge,
     uniform_schedule,
 )
+from gaugeint import interval_charges
 from gaugeint.errors import TraitViolation
+from gaugeint.hk_core import howard_cousin_family
 from gaugeint.interval_charges import IntervalCharge, IntervalUnion
 
 
@@ -103,3 +105,47 @@ def test_full_family_dirichlet_null_value():
                                 1e-4, vectorized=True)
     # tags avoid the point set entirely: the family sum is exactly zero
     assert res.value == 0.0
+
+
+def test_full_family_seeds_share_one_bisection(monkeypatch):
+    # the left seed at each tau and the right seed at the smallest are the
+    # families lone builds make, bit for bit
+    built, seen, marks = [], [], []
+
+    def recording(*args, **kwargs):
+        built.append(howard_cousin_family(*args, **kwargs))
+        marks.append(len(seen))
+        return built[-1]
+
+    monkeypatch.setattr(interval_charges, "howard_cousin_family", recording)
+
+    def width(xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.minimum(0.002 + 0.05 * xs * xs, 0.3 * np.abs(xs - 0.4))
+
+    def batch(xs):
+        seen.extend(np.asarray(xs, dtype=float).tolist())
+        return width(xs)
+
+    gauge = Gauge(0.0, 1.0, lambda x: float(width(x)), (0.4,), batch,
+                  name="counted")
+    control = PrimitiveControl(lambda x: x ** 3)
+    taus = [1e-2, 1e-3]
+    res = full_family_integrate(lambda x: 3.0 * x * x, control, gauge, 0.1,
+                                taus, vectorized=True)
+    assert len(built) == 3
+    # the right seed evaluates nothing; the pair at tau 1e-3 no point twice
+    assert marks[2] == marks[1]
+    pair = seen[marks[0]:]
+    assert len(pair) == len(set(pair))
+    lone = [howard_cousin_family((0.0, 1.0), gauge, control, tau,
+                                 tag_order=t, zero_order=z)
+            for tau, t, z in ((1e-2, "left", "declared"),
+                              (1e-3, "left", "declared"),
+                              (1e-3, "right", "reversed"))]
+    for got, want in zip(built, lone):
+        for fa, fb in ((got.family, want.family), (got.carves, want.carves)):
+            for attr in ("lefts", "rights", "tags"):
+                assert getattr(fa, attr).tobytes() == getattr(fb, attr).tobytes()
+        assert got.remainder_value == want.remainder_value
+    assert res.certificate.sizes == (lone[1].family.n, lone[2].family.n)
