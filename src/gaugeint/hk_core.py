@@ -72,6 +72,9 @@ _RADIUS_FLOOR_EXP = 39
 
 # Offsets used by sampled inequality checks: 16 magnitudes, both signs.
 _FAN = np.array([2.0 ** -i for i in range(16)] + [-(2.0 ** -i) for i in range(16)])
+# The fan split for ftc_gauge's two-stage check: x +- r, then the rest.
+_FAN_PAIR = _FAN[[0, 16]]
+_FAN_REST = np.delete(_FAN, [0, 16])
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +120,11 @@ class Gauge:
         return v
 
     def _check_value(self, x: float, v: float) -> None:
+        # x and v print as plain floats, whether numpy scalars or not
         if not math.isfinite(v) or v < 0.0:
-            raise InvalidGauge(f"{self.name}({x!r}) = {v!r}")
+            raise InvalidGauge(f"{self.name}({float(x)!r}) = {float(v)!r}")
         if v == 0.0 and x not in self.zero_set:
-            raise InvalidGauge(f"{self.name} vanishes at undeclared point {x!r}")
+            raise InvalidGauge(f"{self.name} vanishes at undeclared point {float(x)!r}")
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -130,12 +134,11 @@ class Gauge:
             vs = np.array([float(self.fn(float(x))) for x in xs])
         if not np.all(np.isfinite(vs)) or np.any(vs < 0.0):
             bad = int(np.argmax(~np.isfinite(vs) | (vs < 0.0)))
-            raise InvalidGauge(f"{self.name}({xs[bad]!r}) = {vs[bad]!r}")
+            self._check_value(xs[bad], vs[bad])
         if np.any(vs == 0.0):
             zero_ok = np.isin(xs[vs == 0.0], np.array(self.zero_set, dtype=float))
             if not zero_ok.all():
-                bad = xs[vs == 0.0][~zero_ok][0]
-                raise InvalidGauge(f"{self.name} vanishes at undeclared point {bad!r}")
+                self._check_value(xs[vs == 0.0][~zero_ok][0], 0.0)
         return vs
 
     @staticmethod
@@ -977,7 +980,14 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
     the width is instead chosen so the sampled oscillation of F on any
     containing interval of that width is below eps / 2**(j+2), or the gauge
     is pinned to 0 there when ``zero_at_exceptional`` (family construction).
-    SearchFail when no admissible radius exists above the floor.
+    SearchFail, naming the gauge, when no admissible radius exists above the
+    floor or no width tames the oscillation at an exceptional point.
+
+    Each batch evaluates F(x) and F'(x) once per point.  Each radius probe
+    checks the pair x +- r first and evaluates the other 30 offsets only for
+    points that pass there; the verdict is the same as checking all 32 at
+    once.  F and F' must therefore be elementwise on arrays of any shape,
+    and an F that would raise only at skipped offsets no longer raises.
     """
     a, b = float(host[0]), float(host[1])
     L = b - a
@@ -992,26 +1002,8 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
         if zero_at_exceptional:
             exc_delta[y] = 0.0
         else:
-            exc_delta[y] = _oscillation_width(F, y, (a, b), eps / 2.0 ** (j + 2))
-
-    def _admissible_many(xs, ks):
-        r = L * np.ldexp(1.0, -ks.astype(np.int64))
-        ys = xs[:, None] + r[:, None] * _FAN[None, :]
-        np.clip(ys, a, b, out=ys)
-        dy = ys - xs[:, None]
-        Fx = np.asarray(F(xs), dtype=float)
-        Fpx = np.asarray(Fprime(xs), dtype=float)
-        Fy = np.asarray(F(ys), dtype=float)
-        lin = Fpx[:, None] * dy
-        rem = np.abs(Fy - Fx[:, None] - lin)
-        # Remainders at rounding-noise level are uninformative: in exact
-        # arithmetic they are far below the bound whenever the bound itself
-        # is below float resolution of F.  Without this, admissibility at
-        # tiny radii is decided by cancellation noise.
-        noise = 64.0 * np.finfo(float).eps * (
-            np.abs(Fx)[:, None] + np.abs(Fy) + np.abs(lin))
-        ok = (rem < coeff * np.abs(dy)) | (rem <= noise) | (dy == 0.0)
-        return np.all(ok, axis=1)
+            exc_delta[y] = _oscillation_width(F, y, (a, b), eps / 2.0 ** (j + 2),
+                                              gname)
 
     def batch(xs):
         xs = np.asarray(xs, dtype=float)
@@ -1026,6 +1018,36 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
             return out
         x = xs[idx]
         n = x.shape[0]
+        Fx = np.asarray(F(x), dtype=float)
+        Fpx = np.asarray(Fprime(x), dtype=float)
+
+        def fan_ok(rows, r, offsets):
+            # the sampled inequality at x[rows] for each of the offsets
+            xr, Fxr = x[rows][:, None], Fx[rows][:, None]
+            ys = xr + r[:, None] * offsets[None, :]
+            np.clip(ys, a, b, out=ys)
+            dy = ys - xr
+            Fy = np.asarray(F(ys), dtype=float)
+            lin = Fpx[rows][:, None] * dy
+            rem = np.abs(Fy - Fxr - lin)
+            # Remainders at rounding-noise level are uninformative: in exact
+            # arithmetic they are far below the bound whenever the bound
+            # itself is below float resolution of F.  Without this,
+            # admissibility at tiny radii is decided by cancellation noise.
+            noise = 64.0 * np.finfo(float).eps * (
+                np.abs(Fxr) + np.abs(Fy) + np.abs(lin))
+            ok = (rem < coeff * np.abs(dy)) | (rem <= noise) | (dy == 0.0)
+            return np.all(ok, axis=1)
+
+        def admissible(rows, ks):
+            # Nearly every rejected probe already fails at x +- r, so the
+            # other offsets are evaluated only for rows that pass there.
+            r = L * np.ldexp(1.0, -ks)
+            ok = fan_ok(rows, r, _FAN_PAIR)
+            if ok.any():
+                ok[ok] = fan_ok(rows[ok], r[ok], _FAN_REST)
+            return ok
+
         # Gallop down (radius halving fast) to the first admissible exponent,
         # then bisect inside the bracket.  Probes never go much below the
         # answer, which keeps them out of the cancellation-noise regime.
@@ -1037,7 +1059,7 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
             if not unresolved.any():
                 break
             sel = np.nonzero(unresolved)[0]
-            ok = _admissible_many(x[sel], np.full(sel.shape, k, dtype=np.int64))
+            ok = admissible(sel, np.full(sel.shape, k, dtype=np.int64))
             hit = sel[ok]
             hi[hit] = k
             lo[hit] = prev[hit]
@@ -1052,7 +1074,7 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
             if not active.any():
                 break
             mid = (lo + hi) // 2
-            ok = _admissible_many(x[active], mid[active])
+            ok = admissible(np.nonzero(active)[0], mid[active])
             hi[active] = np.where(ok, mid[active], hi[active])
             lo[active] = np.where(ok, lo[active], mid[active])
         out[idx] = L * np.ldexp(1.0, -hi)
@@ -1067,7 +1089,7 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
                  min_clearance=L * 2.0 ** -(_RADIUS_FLOOR_EXP - 3))
 
 
-def _oscillation_width(F, y: float, host: tuple, bound: float,
+def _oscillation_width(F, y: float, host: tuple, bound: float, gname: str,
                        samples: int = 65) -> float:
     """Largest dyadic width w with sampled osc(F, [y-w, y+w] cut to host) < bound."""
     a, b = host
@@ -1085,7 +1107,8 @@ def _oscillation_width(F, y: float, host: tuple, bound: float,
     if osc_ok(L):
         return L
     if not osc_ok(L * 2.0 ** -_RADIUS_FLOOR_EXP):
-        raise SearchFail(f"oscillation of F at {y!r} exceeds {bound!r} at the floor width")
+        raise SearchFail(f"{gname}: oscillation of F at {y!r} exceeds "
+                         f"{float(bound)!r} at the floor width")
     lo_k = 0
     while hi_k - lo_k > 1:
         mid = (lo_k + hi_k) // 2

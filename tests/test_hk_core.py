@@ -27,7 +27,12 @@ from gaugeint import (
     uniform_schedule,
 )
 from gaugeint.errors import SearchFail
-from gaugeint.hk_core import FamilyConstruction, TaggedFamily1D, _eval_points
+from gaugeint.hk_core import (
+    FamilyConstruction,
+    TaggedFamily1D,
+    _eval_points,
+    ftc_gauge,
+)
 from gaugeint.sums import compensated_sum
 
 
@@ -57,6 +62,14 @@ def test_gauge_batch_matches_scalar():
     xs = np.linspace(0.1, 1.9, 17)
     batch = g.eval_many(xs)
     assert batch == pytest.approx([g(float(x)) for x in xs], abs=0.0)
+
+
+def test_gauge_eval_many_messages_print_plain_floats():
+    with pytest.raises(InvalidGauge, match=r"^gauge\(0\.5\) = -1\.0$"):
+        Gauge(0.0, 1.0, lambda x: -1.0).eval_many(np.array([0.5]))
+    with pytest.raises(InvalidGauge,
+                       match=r"^gauge vanishes at undeclared point 0\.5$"):
+        Gauge(0.0, 1.0, lambda x: abs(x - 0.5)).eval_many(np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +437,119 @@ def test_ftc_gauge_search_fail_names_the_gauge(square_sine_pair):
             "ftc[eps=0.001]: no admissible radius above the floor at "
             "x = 0.2518768310546875")):
         gauge.eval_many([0.2518768310546875])
+
+
+def test_ftc_gauge_oscillation_fail_names_the_gauge():
+    # F jumps at its exceptional point, so no width tames the oscillation
+    zero = lambda x: np.zeros_like(x)
+    with pytest.raises(SearchFail, match="^" + re.escape(
+            "ftc[eps=0.01]: oscillation of F at 0.0 exceeds 0.00125 at the "
+            "floor width")):
+        ftc_gauge(np.sign, zero, [0.0], 1e-2, (-1.0, 1.0))
+    with pytest.raises(SearchFail, match="^jumpy: oscillation of F at 0.0 "):
+        ftc_gauge(np.sign, zero, [0.0], 1e-2, (-1.0, 1.0), name="jumpy")
+
+
+# ftc_gauge's widths at ordinary points as computed before the fan check
+# was split into the x +- r pair and the rest: all 32 offsets in one shot,
+# F(x) and F'(x) recomputed on every probe.  NaN where no radius above the
+# floor is admissible, where the gauge raises SearchFail.
+_REFERENCE_FAN = np.array([2.0 ** -i for i in range(16)]
+                          + [-(2.0 ** -i) for i in range(16)])
+
+
+def _reference_ftc_widths(F, Fprime, eps, host, xs):
+    a, b = host
+    L = b - a
+    coeff = (eps / 2.0) / L
+
+    def admissible_many(xs, ks):
+        r = L * np.ldexp(1.0, -ks.astype(np.int64))
+        ys = xs[:, None] + r[:, None] * _REFERENCE_FAN[None, :]
+        np.clip(ys, a, b, out=ys)
+        dy = ys - xs[:, None]
+        Fx = np.asarray(F(xs), dtype=float)
+        Fpx = np.asarray(Fprime(xs), dtype=float)
+        Fy = np.asarray(F(ys), dtype=float)
+        lin = Fpx[:, None] * dy
+        rem = np.abs(Fy - Fx[:, None] - lin)
+        noise = 64.0 * np.finfo(float).eps * (
+            np.abs(Fx)[:, None] + np.abs(Fy) + np.abs(lin))
+        ok = (rem < coeff * np.abs(dy)) | (rem <= noise) | (dy == 0.0)
+        return np.all(ok, axis=1)
+
+    x = np.asarray(xs, dtype=float)
+    n = x.shape[0]
+    lo = np.full(n, -1, dtype=np.int64)
+    hi = np.full(n, -1, dtype=np.int64)
+    prev = np.full(n, -1, dtype=np.int64)
+    unresolved = np.ones(n, dtype=bool)
+    for k in (0, 1, 2, 4, 8, 16, 32, 39):
+        if not unresolved.any():
+            break
+        sel = np.nonzero(unresolved)[0]
+        ok = admissible_many(x[sel], np.full(sel.shape, k, dtype=np.int64))
+        hit = sel[ok]
+        hi[hit] = k
+        lo[hit] = prev[hit]
+        unresolved[hit] = False
+        prev[sel[~ok]] = k
+    hi[unresolved] = lo[unresolved] = 0
+    while True:
+        active = (hi - lo) > 1
+        if not active.any():
+            break
+        mid = (lo + hi) // 2
+        ok = admissible_many(x[active], mid[active])
+        hi[active] = np.where(ok, mid[active], hi[active])
+        lo[active] = np.where(ok, lo[active], mid[active])
+    return np.where(unresolved, np.nan, L * np.ldexp(1.0, -hi))
+
+
+def _counted(fn, calls):
+    def wrapped(x):
+        calls.append(np.shape(x))
+        return fn(x)
+    return wrapped
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+def test_ftc_gauge_two_stage_fan_matches_one_shot_reference(square_sine_pair,
+                                                            eps):
+    pair = square_sine_pair
+    F, Fp, host = pair["F"], pair["Fprime"], pair["host"]
+    xs = np.concatenate([
+        np.random.default_rng(20).uniform(host[0], host[1], 300),
+        [1e-9, 3e-10, 7e-12, 1.0 - 1e-9, 1.0 - 4e-10, 1.0 - 1e-12]])
+    ref = _reference_ftc_widths(F, Fp, eps, host, xs)
+    fails = np.isnan(ref)
+    fp_calls = []
+    gauge = ftc_gauge(F, _counted(Fp, fp_calls), [0.0], eps, host,
+                      vectorized=True)
+    assert gauge.eval_many(xs[~fails]).tobytes() == ref[~fails].tobytes()
+    assert fp_calls == [((~fails).sum(),)]
+    # the points within 1e-9 of 0 find no radius, with either fan check
+    assert fails[-6:].tolist() == [True] * 3 + [False] * 3
+    first = float(xs[fails][0])
+    with pytest.raises(SearchFail, match=re.escape(
+            f"no admissible radius above the floor at x = {first!r}")):
+        gauge.eval_many(xs)
+
+
+def test_ftc_gauge_second_stage_decides_on_a_narrow_bump():
+    # The bump at 0.625 sits on the inner offset x + r/8 of the probe at
+    # x = 0.5, r = 1, and on an inner offset of every probe down to r = 1/4,
+    # while x +- r never meets it.  Only r = 1/16 clears it.
+    F = lambda x: x + np.where(np.abs(x - 0.625) < 1e-9, 1.0, 0.0)
+    Fp = lambda x: np.ones_like(x)
+    xs = np.array([0.5, 0.25, 0.875])
+    ref = _reference_ftc_widths(F, Fp, 1e-2, (0.0, 1.0), xs)
+    assert ref[0] == 2.0 ** -4
+    fp_calls = []
+    gauge = ftc_gauge(F, _counted(Fp, fp_calls), [], 1e-2, (0.0, 1.0),
+                      vectorized=True)
+    assert gauge.eval_many(xs).tobytes() == ref.tobytes()
+    assert fp_calls == [xs.shape]
 
 
 def test_eval_points_square_batch_goes_point_by_point():
