@@ -25,7 +25,6 @@ from .errors import (
     UndefinedTag,
 )
 from .hk_core import (
-    EPS_SCHEDULE,
     Certificate,
     FamilyConstruction,
     Gauge,

@@ -301,6 +301,17 @@ def _interval_schedule(spec: str, a: float, b: float, entry: dict):
     raise _Usage(f"unknown schedule {spec!r}")
 
 
+def _interval_setup(args) -> tuple:
+    """(a, b, integrand entry, schedule) of an interval subcommand."""
+    a, b = args.interval
+    if a >= b:
+        raise _Usage(f"empty interval [{a!r}, {b!r}]")
+    entry = _interval_entry(args.fn)
+    if "host" in entry and (a, b) != entry["host"]:
+        raise _Usage(f"{args.fn} is defined on [0, 1]")
+    return a, b, entry, _interval_schedule(args.schedule, a, b, entry)
+
+
 def _load_chain(path: str) -> Current1D:
     try:
         return load_current(path)
@@ -331,21 +342,14 @@ def _cmd_integrate(args) -> int:
         res = hkp_integrate(f, T, mass_charge(), sched, eps, tau_schedule=tau)
         domain = args.current
     else:
-        a, b = args.interval
-        if a >= b:
-            raise _Usage(f"empty interval [{a!r}, {b!r}]")
-        entry = _interval_entry(args.fn)
-        if "host" in entry and (a, b) != entry["host"]:
-            raise _Usage(f"{args.fn} is defined on [0, 1]")
-        sched = _interval_schedule(args.schedule, a, b, entry)
+        a, b, entry, sched = _interval_setup(args)
         if args.tau_val is not None:
             control = PrimitiveControl(entry["primitive"])
             res = full_family_integrate(entry["f"], control, sched, eps,
                                         tau_schedule=args.tau_val,
-                                        vectorized=True, max_nodes=8_000_000)
+                                        max_nodes=8_000_000)
         else:
-            res = hk_integrate(entry["f"], sched, eps, vectorized=True,
-                               max_nodes=8_000_000)
+            res = hk_integrate(entry["f"], sched, eps, max_nodes=8_000_000)
         domain = f"[{a!r},{b!r}]"
     cert = res.certificate
     _write_csv(args.out / "integrate.csv",
@@ -423,20 +427,14 @@ def _cmd_ftc(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    a, b = args.interval
-    if a >= b:
-        raise _Usage(f"empty interval [{a!r}, {b!r}]")
-    entry = _interval_entry(args.fn)
-    if "host" in entry and (a, b) != entry["host"]:
-        raise _Usage(f"{args.fn} is defined on [0, 1]")
-    sched = _interval_schedule(args.schedule, a, b, entry)
+    _a, _b, entry, sched = _interval_setup(args)
     rng = np.random.default_rng(args.seed)
     rows = []
     for eps in args.eps_list:
-        res = hk_integrate(entry["f"], sched, eps, vectorized=True,
-                           keep_families=True, max_nodes=8_000_000)
+        res = hk_integrate(entry["f"], sched, eps, keep_families=True,
+                           max_nodes=8_000_000)
         audits = [saks_henstock_audit(entry["f"], entry["primitive"],
-                                      fc.partition, vectorized=True)
+                                      fc.partition)
                   for fc in res.certificate.families]
         # the bound also holds on arbitrary subfamilies; probe a few
         part = res.certificate.families[0].partition
@@ -446,7 +444,7 @@ def _cmd_audit(args) -> int:
             fam = type(part)(part.host, part.lefts[keep], part.rights[keep],
                              part.tags[keep], validate=False)
             sub_worst = max(sub_worst, saks_henstock_audit(
-                entry["f"], entry["primitive"], fam, vectorized=True))
+                entry["f"], entry["primitive"], fam))
         rows.append((eps, res.value, res.epsilon, audits[0], audits[1],
                      sub_worst, 2.0 * eps))
     _write_csv(args.out / "audit.csv",
@@ -460,14 +458,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    a, b = args.interval
-    if a >= b:
-        raise _Usage(f"empty interval [{a!r}, {b!r}]")
-    entry = _interval_entry(args.fn)
-    if "host" in entry and (a, b) != entry["host"]:
-        raise _Usage(f"{args.fn} is defined on [0, 1]")
-    sched = as_schedule(_interval_schedule(args.schedule, a, b, entry),
-                        control=PrimitiveControl(entry["primitive"]))
+    a, b, entry, sched = _interval_setup(args)
+    sched = as_schedule(sched, control=PrimitiveControl(entry["primitive"]))
     eps = args.eps_list[-1]
     gauge = sched.gauge(eps)
     control = sched.control

@@ -11,6 +11,9 @@ runs that two-seed test for intervals, full families and chains alike.
 
 Numerical conventions (fixed so runs are reproducible):
   * compensated summation in fixed index order for every accumulation,
+  * Riemann sums, audits and probes evaluate integrands and primitives
+    through one helper, ``_eval_points``: one call on the array of points
+    where the function accepts arrays, else one call per point,
   * bisection runs level by level: each candidate column of one depth is
     one ``Gauge.eval_many`` call, whether or not the gauge has a batch
     evaluator,
@@ -41,7 +44,6 @@ from .errors import (
 from .sums import compensated_sum
 
 __all__ = [
-    "EPS_SCHEDULE",
     "Gauge",
     "TaggedFamily1D",
     "FamilyConstruction",
@@ -62,9 +64,6 @@ __all__ = [
     "Schedule",
     "PrimitiveControl",
 ]
-
-# Default experiment schedule; tau defaults to eps/4 everywhere.
-EPS_SCHEDULE = (1e-2, 1e-3, 1e-4)
 
 # Dyadic radius searches stop at host_length * 2**-_RADIUS_FLOOR_EXP, the
 # last dyadic radius above 1e-12 times the host length.
@@ -468,6 +467,33 @@ def _eval_points(f, P) -> np.ndarray:
     return np.array([float(f(p)) for p in P])
 
 
+def _integrand_values(f, P) -> np.ndarray:
+    """f at the tags P through ``_eval_points``, every value finite.
+
+    UndefinedTag, naming the first tag where f raises or is not finite, and
+    chained from the exception f raised there.
+    """
+    P = np.asarray(P, dtype=float)
+    cause = None
+    try:
+        vals = _eval_points(f, P)
+    except Exception:
+        # point by point again, up to the first tag that fails
+        vals = np.full(P.shape[0], np.nan)
+        for i, p in enumerate(P):
+            try:
+                vals[i] = float(f(p))
+            except Exception as exc:
+                cause = exc
+            if not np.isfinite(vals[i]):
+                break
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        tag = P[int(np.argmax(bad))].tolist()
+        raise UndefinedTag(f"integrand undefined at tag {tag!r}") from cause
+    return vals
+
+
 class PrimitiveControl:
     """Additive interval control built from a point primitive F.
 
@@ -628,12 +654,8 @@ def _carve_intervals(host, zero_points, control, budgets, *, weight_fn=None,
             raise ContinuityBudgetFail(f"no room to carve around {y!r}")
         wcap = math.inf
         if weight_fn is not None:
-            try:
-                fy = float(weight_fn(y))
-            except Exception as exc:
-                raise UndefinedTag(f"integrand undefined at gauge zero {y!r}") from exc
-            if not math.isfinite(fy):
-                raise UndefinedTag(f"integrand non-finite at gauge zero {y!r}")
+            # the carve pair is tagged at y
+            fy = float(_integrand_values(weight_fn, [y])[0])
             if fy != 0.0:
                 wcap = weight_budgets[j] / abs(fy)
         found = None
@@ -752,27 +774,15 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
 # Riemann sums and certification
 
 
-def riemann_sum(f, family: TaggedFamily1D, *, vectorized: bool = False) -> float:
-    """Sum of f(tag) * width over the family, compensated, in left-to-right order."""
+def riemann_sum(f, family: TaggedFamily1D) -> float:
+    """Sum of f(tag) * width over the family, compensated, in left-to-right order.
+
+    f is called once on the array of tags when it accepts arrays, else
+    once per tag.  UndefinedTag where f raises or is not finite.
+    """
     if family.n == 0:
         return 0.0
-    if vectorized:
-        vals = np.asarray(f(family.tags), dtype=float)
-        if vals.shape != family.tags.shape or not np.all(np.isfinite(vals)):
-            bad = family.tags[0] if vals.shape != family.tags.shape else \
-                family.tags[~np.isfinite(vals)][0]
-            raise UndefinedTag(f"integrand undefined at tag {bad!r}")
-        return compensated_sum(vals * family.widths)
-    terms = []
-    for l, r, t in family:
-        try:
-            v = float(f(t))
-        except Exception as exc:
-            raise UndefinedTag(f"integrand raised at tag {t!r}") from exc
-        if not math.isfinite(v):
-            raise UndefinedTag(f"integrand non-finite at tag {t!r}")
-        terms.append(v * (r - l))
-    return compensated_sum(terms)
+    return compensated_sum(_integrand_values(f, family.tags) * family.widths)
 
 
 @dataclass
@@ -851,8 +861,7 @@ def proportional_schedule(a: float, b: float, anchor: float, rate_of_eps,
     return Schedule(build, control)
 
 
-def ftc_schedule(F, Fprime, exceptional: Sequence[float], host: tuple, *,
-                 vectorized: bool = True) -> Schedule:
+def ftc_schedule(F, Fprime, exceptional: Sequence[float], host: tuple) -> Schedule:
     """Built-in schedule carrying the proof gauge of F and the |F| control.
 
     The gauge vanishes on the exceptional set, so hk_integrate runs the
@@ -863,7 +872,7 @@ def ftc_schedule(F, Fprime, exceptional: Sequence[float], host: tuple, *,
 
     def build(eps: float) -> Gauge:
         return ftc_gauge(F, Fprime, exceptional, eps, (a, b),
-                         vectorized=vectorized, zero_at_exceptional=True)
+                         zero_at_exceptional=True)
 
     return Schedule(build, control=PrimitiveControl(F))
 
@@ -931,6 +940,7 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
     For gauges with a declared zero set the partition is carves plus covered
     family; carve pairs are tagged at the zero points and kept in the sum,
     with widths shrunk so each tag's contribution is under its budget.
+    ``vectorized`` has no effect: ``riemann_sum`` decides how to call f.
     """
     sched = as_schedule(schedule)
     if not (eps > 0.0):
@@ -949,7 +959,7 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
         part = fc.partition
         if not part.is_partition:
             raise DepthExceeded("construction failed to partition the host")
-        return riemann_sum(f, part, vectorized=vectorized)
+        return riemann_sum(f, part)
 
     tau = sched.tau(eps)
     with _shared_seeds():
@@ -969,7 +979,7 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
 
 
 def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, *,
-              vectorized: bool = False, zero_at_exceptional: bool = False,
+              zero_at_exceptional: bool = False,
               name: Optional[str] = None) -> Gauge:
     """Gauge realizing the differentiability estimate of a primitive.
 
@@ -995,7 +1005,7 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
         raise ValueError("host must be nondegenerate and eps positive")
     coeff = (eps / 2.0) / L
     exc = [float(y) for y in exceptional]
-    gname = name or f"ftc[eps={eps!r}]"
+    gname = name or f"ftc[eps={float(eps)!r}]"
 
     exc_delta = {}
     for j, y in enumerate(exc, start=1):
@@ -1085,7 +1095,7 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
 
     zs = tuple(y for y, d in exc_delta.items() if d == 0.0)
     # Carve edges must stay clear of the sampled-fan resolution floor.
-    return Gauge(a, b, scalar, zs, batch if vectorized else None, name=gname,
+    return Gauge(a, b, scalar, zs, batch, name=gname,
                  min_clearance=L * 2.0 ** -(_RADIUS_FLOOR_EXP - 3))
 
 
@@ -1125,18 +1135,16 @@ def _oscillation_width(F, y: float, host: tuple, bound: float, gname: str,
 
 def saks_henstock_audit(f, F, family: TaggedFamily1D, *,
                         vectorized: bool = False) -> float:
-    """Sum of |f(tag) * width - (F(right) - F(left))| over the family."""
+    """Sum of |f(tag) * width - (F(right) - F(left))| over the family.
+
+    f and F are called as in ``riemann_sum``, and UndefinedTag where f
+    raises or is not finite.  ``vectorized`` has no effect.
+    """
     if family.n == 0:
         return 0.0
-    if vectorized:
-        vals = np.asarray(f(family.tags), dtype=float)
-        Fl = np.asarray(F(family.lefts), dtype=float)
-        Fr = np.asarray(F(family.rights), dtype=float)
-        return compensated_sum(np.abs(vals * family.widths - (Fr - Fl)))
-    terms = []
-    for l, r, t in family:
-        terms.append(abs(float(f(t)) * (r - l) - (float(F(r)) - float(F(l)))))
-    return compensated_sum(terms)
+    vals = _integrand_values(f, family.tags)
+    dF = _eval_points(F, family.rights) - _eval_points(F, family.lefts)
+    return compensated_sum(np.abs(vals * family.widths - dF))
 
 
 def ac_star_probe(F, null_set: Sequence[float], gauge: Gauge, *,
@@ -1200,17 +1208,12 @@ def pointwise_lip(F, x: float, radii: Sequence[float],
     r = min(float(v) for v in radii)
     if not (r > 0.0):
         raise ValueError("radii must be positive")
-    Fx = float(F(x))
-    best = 0.0
-    for k in range(1, 17):
-        for sign in (1.0, -1.0):
-            y = x + sign * r * (k / 16.0)
-            if host is not None:
-                y = min(host[1], max(host[0], y))
-            dy = y - x
-            if dy == 0.0:
-                continue
-            ratio = abs(float(F(y)) - Fx) / abs(dy)
-            if ratio > best:
-                best = ratio
-    return best
+    steps = r * (np.arange(1, 17) / 16.0)
+    ys = x + np.concatenate([steps, -steps])
+    if host is not None:
+        ys = np.clip(ys, host[0], host[1])
+    ys = ys[ys != x]
+    vals = _eval_points(F, np.concatenate([[x], ys]))
+    ratios = np.abs(vals[1:] - vals[0]) / np.abs(ys - x)
+    # a nan ratio never raises the bound
+    return float(np.max(ratios[ratios > 0.0], initial=0.0))

@@ -47,6 +47,7 @@ from .hk_core import (
     Schedule,
     _certify,
     _eval_points,
+    _integrand_values,
     _tau_list,
     ftc_gauge,
 )
@@ -173,13 +174,12 @@ class ArcFunction:
 def _tag_values(f, family: PieceFamily) -> np.ndarray:
     if family.n == 0:
         return np.empty(0)
-    if isinstance(f, ArcFunction):
-        vals = f.eval_rows(family)
-    else:
-        vals = _eval_points(f, family.tag_points)
+    if not isinstance(f, ArcFunction):
+        return _integrand_values(f, family.tag_points)
+    vals = f.eval_rows(family)
     if not np.all(np.isfinite(vals)):
         bad = family.tag_points[~np.isfinite(vals)][0]
-        raise UndefinedTag(f"integrand undefined at tag {bad!r}")
+        raise UndefinedTag(f"integrand undefined at tag {bad.tolist()!r}")
     return vals
 
 
@@ -414,10 +414,7 @@ def lebesgue_compare(f, T: Current1D, *, hkp_result: Optional[HKResult] = None,
             step = np.repeat(curve.seg_len, n) / n
             offs = np.tile(np.arange(n, dtype=float), curve.n_segments)
             mids = base + (offs + 0.5) * step
-            if isinstance(f, ArcFunction):
-                vals = np.asarray(f.fns[ci](mids), dtype=float)
-            else:
-                vals = _eval_points(f, curve.point_at_many(mids))
+            vals = _sample_values(f, ci, mids, curve.point_at_many(mids))
             parts.append(mult * compensated_sum(vals * step))
         q = exact_sum(parts)
         values.append(q)
@@ -533,8 +530,7 @@ def ftc_verify(u: Callable, T: Current1D, eps_schedule: Sequence[float], *,
                                       dtype=float)
                     return vals.reshape(ss.shape)
                 return ftc_gauge(prim, f.fns[ci], exc_arc[ci], eps,
-                                 (0.0, curve.length), vectorized=True,
-                                 zero_at_exceptional=True,
+                                 (0.0, curve.length), zero_at_exceptional=True,
                                  name=f"ftc-arc[{ci}]")
             return per_comp
         sched = Schedule(build)

@@ -323,6 +323,7 @@ def full_family_integrate(f, G: IntervalCharge, gauge_schedule,
     The value is the midpoint of the two family sums; against a partition
     integral it can differ by the mass G assigns to the uncovered part,
     which the equivalence theorem bounds at the 3-epsilon scale.
+    ``vectorized`` has no effect: ``riemann_sum`` decides how to call f.
     """
     sched = as_schedule(gauge_schedule, control=G)
     if not (eps > 0.0):
@@ -337,8 +338,7 @@ def full_family_integrate(f, G: IntervalCharge, gauge_schedule,
 
     with _shared_seeds():
         s1, s2, gap, _rows, cons = _certify(
-            build, lambda fc: riemann_sum(f, fc.family, vectorized=vectorized),
-            eps, taus)
+            build, lambda fc: riemann_sum(f, fc.family), eps, taus)
     cert = Certificate(sum1=s1, sum2=s2, gauge_name=gauge.name,
                        sizes=(cons[0].family.n, cons[1].family.n),
                        tau=taus[-1],

@@ -1,8 +1,8 @@
 """Compensated summation used by every accumulation in the package.
 
-All Riemann sums, audits and masses go through `compensated_sum` so scalar
-and vectorized code paths produce bit-identical totals: vector paths build
-the term array first and then reduce it here, in index order.
+All Riemann sums, audits and masses reduce their terms through
+`compensated_sum`, in index order, so a total depends only on the terms and
+their order.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from gaugeint import (
     howard_cousin_current,
     is_piece,
     lambda_f,
+    lambda_charge,
     lambda_f_charge,
     lambda_omega,
     load_current,
@@ -188,6 +189,15 @@ def test_lambda_f_charge_matches_lambda_f(circle16):
     assert charge.name == "lambda-f" and "additive" in charge.traits
     S = restrict(circle16, [(0, 0.5, 2.5, 1)])
     assert charge(S) == lambda_f(f, S)
+    charge.validate_on(circle16)
+
+
+def test_lambda_charge_matches_lambda_omega(circle16):
+    omega = lambda p: np.array([-p[1], p[0]])
+    charge = lambda_charge(omega)
+    assert charge.name == "lambda-omega" and "additive" in charge.traits
+    S = restrict(circle16, [(0, 0.5, 2.5, 1)])
+    assert charge(S) == lambda_omega(omega, S)
     charge.validate_on(circle16)
 
 

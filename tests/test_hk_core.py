@@ -10,20 +10,28 @@ from hypothesis import given, settings, strategies as st
 from gaugeint import (
     CauchyFail,
     ContinuityBudgetFail,
+    Current1D,
+    Curve,
     DepthExceeded,
     Gauge,
     InvalidGauge,
     PrimitiveControl,
+    UndefinedTag,
     ac_star_probe,
     as_schedule,
     cousin_partition,
     ftc_schedule,
     gallery,
     hk_integrate,
+    hkp_riemann_sum,
+    howard_cousin_current,
     howard_cousin_family,
+    mass_charge,
     pointwise_lip,
+    proportional_schedule,
     riemann_sum,
     saks_henstock_audit,
+    uniform_current_schedule,
     uniform_schedule,
 )
 from gaugeint.errors import SearchFail
@@ -213,7 +221,7 @@ def _certify_against_lone_builds(zeros):
         _assert_same_construction(got, want)
     cert = res.certificate
     assert (cert.sum1, cert.sum2) == tuple(
-        riemann_sum(f, fc.partition, vectorized=True) for fc in lone)
+        riemann_sum(f, fc.partition) for fc in lone)
     return lone, seen[:n_certify], seen[n_certify:]
 
 
@@ -277,16 +285,96 @@ def test_riemann_sum_linear_in_f():
                                   + riemann_sum(h, part), rel=1e-12)
 
 
-def test_riemann_sum_vector_scalar_agree():
-    g = Gauge.uniform(0.0, 1.0, 0.01)
-    part = cousin_partition((0.0, 1.0), g)
+# ---------------------------------------------------------------------------
+# integrand evaluation: one path for scalar-only and array integrands, and
+# UndefinedTag where an integrand fails at a tag
 
-    def f(x):
-        xs = np.asarray(x, dtype=float)
-        out = np.sin(xs) + xs
-        return float(out) if np.ndim(x) == 0 else out
+# eight intervals of width 1/8 on [0, 1]; the left seed tags every left end,
+# 0.5 among them
+_EIGHTHS = cousin_partition((0.0, 1.0), Gauge.uniform(0.0, 1.0, 0.13))
+_LINE = Current1D([(Curve(np.array([[0.0, 0.0], [1.0, 0.0]])), 1)])
+_LINE_FAMILY = howard_cousin_current(
+    _LINE, uniform_current_schedule(0.13).gauge(1.0), mass_charge(), 1.0)
 
-    assert riemann_sum(f, part) == riemann_sum(f, part, vectorized=True)
+
+def _on_line(f):
+    """f of x as an integrand on the points (x, 0) of the unit segment."""
+    return lambda p: f(np.asarray(p, dtype=float)[..., 0])
+
+
+# each entry point as f -> value, and how it names the tag x = 0.5
+_ENTRIES = {
+    "riemann_sum": (lambda f: riemann_sum(f, _EIGHTHS), "0.5"),
+    "saks_henstock_audit": (
+        lambda f: saks_henstock_audit(f, lambda x: 0.5 * x * x, _EIGHTHS),
+        "0.5"),
+    "hk_integrate": (
+        lambda f: hk_integrate(f, uniform_schedule(0.0, 1.0, 0.13), 0.25).value,
+        "0.5"),
+    # the gauge vanishes at 0.5, so 0.5 tags a carve pair whose width the
+    # integrand there bounds
+    "hk_integrate_carved": (
+        lambda f: hk_integrate(f, proportional_schedule(
+            0.0, 1.0, 0.5, 0.5, control=PrimitiveControl(lambda x: x)),
+            0.25).value,
+        "0.5"),
+    "hkp_riemann_sum": (
+        lambda f: hkp_riemann_sum(_on_line(f), _LINE_FAMILY), "[0.5, 0.0]"),
+}
+
+
+def _raises_at_half(x):
+    x = np.asarray(x, dtype=float)
+    if np.any(x == 0.5):
+        raise KeyError("no value at 0.5")
+    return np.sin(3.0 * x) + x
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_integrand_that_raises_is_an_undefined_tag(entry):
+    run, tag = _ENTRIES[entry]
+    with pytest.raises(UndefinedTag, match="^" + re.escape(
+            f"integrand undefined at tag {tag}") + "$") as info:
+        run(_raises_at_half)
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_non_finite_integrand_is_an_undefined_tag(entry, bad):
+    run, tag = _ENTRIES[entry]
+    with pytest.raises(UndefinedTag, match="^" + re.escape(
+            f"integrand undefined at tag {tag}") + "$") as info:
+        run(lambda x: np.where(np.asarray(x) == 0.5, bad, x))
+    assert info.value.__cause__ is None
+
+
+def test_riemann_sum_and_audit_match_the_per_tag_loop():
+    # the per-tag loops both functions ran for a scalar integrand
+    f, F = (lambda x: np.sin(3.0 * x) + x), (lambda x: 0.5 * x * x)
+    part = cousin_partition((0.0, 1.0), Gauge.uniform(0.0, 1.0, 0.01))
+    assert riemann_sum(f, part) == compensated_sum(
+        [float(f(t)) * (r - l) for l, r, t in part])
+    assert saks_henstock_audit(f, F, part) == compensated_sum(
+        [abs(float(f(t)) * (r - l) - (float(F(r)) - float(F(l))))
+         for l, r, t in part])
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_scalar_only_integrand_matches_its_array_twin(entry):
+    # an integrand that raises on arrays is called point by point, to the
+    # same bits as its array twin gives in one call
+    run, _tag = _ENTRIES[entry]
+    twin = lambda x: np.sin(3.0 * x) + x
+
+    def scalar_only(x):
+        if np.ndim(x) != 0:
+            raise TypeError("one point at a time")
+        return float(twin(x))
+
+    want = run(twin)
+    assert run(scalar_only) == want
+    assert math.isfinite(want) and want != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +538,16 @@ def test_ftc_gauge_oscillation_fail_names_the_gauge():
         ftc_gauge(np.sign, zero, [0.0], 1e-2, (-1.0, 1.0), name="jumpy")
 
 
+def test_ftc_gauge_name_prints_a_numpy_eps_as_a_plain_float():
+    zero = lambda x: np.zeros_like(x)
+    gauge = ftc_gauge(np.sign, zero, [0.0], np.float64(1e-2), (-1.0, 1.0),
+                      zero_at_exceptional=True)
+    assert gauge.name == "ftc[eps=0.01]"
+    with pytest.raises(SearchFail, match="^" + re.escape(
+            "ftc[eps=0.01]: oscillation of F at 0.0 ")):
+        ftc_gauge(np.sign, zero, [0.0], np.float64(1e-2), (-1.0, 1.0))
+
+
 # ftc_gauge's widths at ordinary points as computed before the fan check
 # was split into the x +- r pair and the rest: all 32 offsets in one shot,
 # F(x) and F'(x) recomputed on every probe.  NaN where no radius above the
@@ -524,8 +622,7 @@ def test_ftc_gauge_two_stage_fan_matches_one_shot_reference(square_sine_pair,
     ref = _reference_ftc_widths(F, Fp, eps, host, xs)
     fails = np.isnan(ref)
     fp_calls = []
-    gauge = ftc_gauge(F, _counted(Fp, fp_calls), [0.0], eps, host,
-                      vectorized=True)
+    gauge = ftc_gauge(F, _counted(Fp, fp_calls), [0.0], eps, host)
     assert gauge.eval_many(xs[~fails]).tobytes() == ref[~fails].tobytes()
     assert fp_calls == [((~fails).sum(),)]
     # the points within 1e-9 of 0 find no radius, with either fan check
@@ -546,8 +643,7 @@ def test_ftc_gauge_second_stage_decides_on_a_narrow_bump():
     ref = _reference_ftc_widths(F, Fp, 1e-2, (0.0, 1.0), xs)
     assert ref[0] == 2.0 ** -4
     fp_calls = []
-    gauge = ftc_gauge(F, _counted(Fp, fp_calls), [], 1e-2, (0.0, 1.0),
-                      vectorized=True)
+    gauge = ftc_gauge(F, _counted(Fp, fp_calls), [], 1e-2, (0.0, 1.0))
     assert gauge.eval_many(xs).tobytes() == ref.tobytes()
     assert fp_calls == [xs.shape]
 
@@ -656,6 +752,41 @@ def test_ac_star_probe_matches_scalar_loop():
                 got = ac_star_probe(F, anchors, g, trials=6, seed=seed)
                 ref = _ac_star_scalar(F, anchors, g, 6, seed)
                 assert got.hex() == ref.hex()
+
+
+def _pointwise_lip_loop(F, x, radii, host=None):
+    # pointwise_lip as a loop over the 32 offsets, one F call each
+    r = min(radii)
+    Fx = float(F(x))
+    best = 0.0
+    for k in range(1, 17):
+        for sign in (1.0, -1.0):
+            y = x + sign * r * (k / 16.0)
+            if host is not None:
+                y = min(host[1], max(host[0], y))
+            dy = y - x
+            if dy == 0.0:
+                continue
+            ratio = abs(float(F(y)) - Fx) / abs(dy)
+            if ratio > best:
+                best = ratio
+    return best
+
+
+def test_pointwise_lip_matches_the_loop():
+    rng = np.random.default_rng(4)
+    # np.sin and np.sqrt give the same bits on scalars and arrays;
+    # math.exp takes no arrays, so it is called point by point
+    Fs = [np.sin, lambda x: math.exp(x), lambda x: np.sqrt(np.abs(x - 0.2)),
+          lambda x: np.where(np.asarray(x) > 0.3, np.nan, x)]
+    for F in Fs:
+        for _ in range(50):
+            x = float(rng.uniform(-1.0, 1.0))
+            r = float(10.0 ** rng.uniform(-8.0, 0.0))
+            host = (x - float(rng.uniform(0.0, r)), x + 0.5 * r)
+            for h in (None, host, (x, x + 1.0)):
+                want = _pointwise_lip_loop(F, x, [r], h)
+                assert pointwise_lip(F, x, [r], h) == want
 
 
 def test_pointwise_lip_shrinks_to_the_slope():

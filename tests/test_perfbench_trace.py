@@ -1,0 +1,25 @@
+"""The traced benchmark run stays runnable.
+
+A traced run wraps the package's public functions from outside it and
+exits 1 before printing any metric when a wrapped name has gone or moved,
+or when an op's captured constructions no longer match what the run reads.
+One short traced pass over the interval FTC workload catches both.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_interval_ftc_run_exits_clean():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "interval_ftc",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
