@@ -48,7 +48,7 @@ class CauchyFail(GaugeIntError):
 
 
 class UndefinedTag(GaugeIntError):
-    """Integrand undefined (raised or returned a non-finite value) at a tag."""
+    """A user function raised or was not finite where a sum needs its value."""
 
 
 class SearchFail(GaugeIntError):

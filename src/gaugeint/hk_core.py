@@ -10,7 +10,8 @@ built from independent deterministic seeds, and one kernel (``_certify``)
 runs that two-seed test for intervals, full families and chains alike.
 
 Numerical conventions (fixed so runs are reproducible):
-  * compensated summation in fixed index order for every accumulation,
+  * every accumulation is a correctly rounded sum (``math.fsum``), so
+    its total does not depend on the order of the terms,
   * Riemann sums, audits and probes evaluate integrands and primitives
     through one helper, ``_eval_points``: one call on the array of points
     where the function accepts arrays, else one call per point,
@@ -29,7 +30,8 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -173,9 +175,9 @@ class TaggedFamily1D:
     """Finite list of non-overlapping tagged intervals inside a host.
 
     Stored as three parallel arrays (lefts, rights, tags) sorted by left
-    endpoint.  A partition is a family whose body is the whole host, checked
-    by exact float equality: bisection shares split points exactly, so no
-    tolerance is needed.
+    endpoint, sorted here unless they come in sorted.  A partition is a
+    family whose body is the whole host, checked by exact float equality:
+    bisection shares split points exactly, so no tolerance is needed.
     """
 
     __slots__ = ("host", "lefts", "rights", "tags")
@@ -188,10 +190,11 @@ class TaggedFamily1D:
         if self.lefts.ndim != 1 or not (
                 self.lefts.shape == self.rights.shape == self.tags.shape):
             raise ValueError("lefts/rights/tags must be equal-length 1-d arrays")
-        order = np.argsort(self.lefts, kind="stable")
-        self.lefts = self.lefts[order]
-        self.rights = self.rights[order]
-        self.tags = self.tags[order]
+        if not np.all(self.lefts[:-1] <= self.lefts[1:]):
+            order = np.argsort(self.lefts, kind="stable")
+            self.lefts = self.lefts[order]
+            self.rights = self.rights[order]
+            self.tags = self.tags[order]
         if validate:
             self._validate()
 
@@ -208,14 +211,6 @@ class TaggedFamily1D:
         if not (np.all(self.lefts <= self.tags) and np.all(self.tags <= self.rights)):
             raise ValueError("tag outside its own interval")
 
-    @classmethod
-    def from_pairs(cls, host: tuple, triples: Iterable[tuple]) -> "TaggedFamily1D":
-        triples = list(triples)
-        if not triples:
-            return cls(host, [], [], [])
-        ls, rs, ts = zip(*triples)
-        return cls(host, ls, rs, ts)
-
     @property
     def n(self) -> int:
         return int(self.lefts.shape[0])
@@ -230,9 +225,6 @@ class TaggedFamily1D:
     @property
     def widths(self) -> np.ndarray:
         return self.rights - self.lefts
-
-    def body_length(self) -> float:
-        return compensated_sum(self.widths)
 
     @property
     def is_partition(self) -> bool:
@@ -261,13 +253,12 @@ class TaggedFamily1D:
         deltas = gauge.eval_many(self.tags)
         return bool(np.all(self.widths < deltas))
 
-    def merged(self, other: "TaggedFamily1D") -> "TaggedFamily1D":
-        return TaggedFamily1D(
-            self.host,
-            np.concatenate([self.lefts, other.lefts]),
-            np.concatenate([self.rights, other.rights]),
-            np.concatenate([self.tags, other.tags]),
-        )
+    def merged(self, *others: "TaggedFamily1D") -> "TaggedFamily1D":
+        """This family and the others as one family on this host."""
+        fams = (self,) + others
+        return TaggedFamily1D(self.host, *(
+            np.concatenate([getattr(fam, k) for fam in fams])
+            for k in ("lefts", "rights", "tags")))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +333,14 @@ def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
                                             max_nodes)
     if not done_l:
         raise DepthExceeded(f"{gauge.name}: bisection produced no intervals")
+    # one sort for every array; each depth's block is already sorted
     lefts = np.concatenate(done_l)
-    fam = TaggedFamily1D((a, b), lefts, np.concatenate(done_r),
-                         np.concatenate(done_t[0]))
+    order = np.argsort(lefts, kind="stable")
+    lefts, rights = lefts[order], np.concatenate(done_r)[order]
+    tags = [np.concatenate(t)[order] for t in done_t]
     if len(orders) == 2:
-        # right-first tags in the order the family sorted its intervals
-        other = np.concatenate(done_t[1])[np.argsort(lefts, kind="stable")]
-        store[key] = (gauge, fam.lefts, fam.rights, other)
-    return fam
+        store[key] = (gauge, lefts, rights, tags[1])
+    return TaggedFamily1D((a, b), lefts, rights, tags[0])
 
 
 def _fill(gauge, vals, xs, mask) -> None:
@@ -370,8 +361,9 @@ def _cousin_vector(a, b, gauge, orders, max_depth, max_nodes):
     evaluated.  Whether an interval fits does not depend on the order, so
     every order sees the same mesh and only the tags differ; with both
     orders a midpoint is evaluated once, wherever either order needs it.
-    Returns the fitted intervals as lists of lefts and rights arrays per
-    depth, and per order a list of tag arrays per depth."""
+    Children sit side by side, so each depth runs left to right.  Returns
+    the fitted intervals as lists of lefts and rights arrays per depth, and
+    per order a list of tag arrays per depth."""
     left, right = "left" in orders, "right" in orders
     done_l, done_r = [], []
     done_t = tuple([] for _ in orders)
@@ -428,11 +420,12 @@ def _cousin_vector(a, b, gauge, orders, max_depth, max_nodes):
             if not np.all((Cr < Mr) & (Mr < Dr)):
                 raise DepthExceeded(f"{gauge.name}: float resolution exhausted "
                                     "during bisection")
-            C = np.concatenate([Cr, Mr])
-            D = np.concatenate([Mr, Dr])
+            # children side by side: C[2i], C[2i+1] are the halves of Cr[i]
+            C = np.column_stack([Cr, Mr]).ravel()
+            D = np.column_stack([Mr, Dr]).ravel()
             gMr = gM[open_mask]
-            gC = np.concatenate([gC[open_mask], gMr])
-            gD = np.concatenate([gMr, gD[open_mask]])
+            gC = np.column_stack([gC[open_mask], gMr]).ravel()
+            gD = np.column_stack([gMr, gD[open_mask]]).ravel()
         else:
             C = np.empty(0)
             D = np.empty(0)
@@ -467,39 +460,46 @@ def _eval_points(f, P) -> np.ndarray:
     return np.array([float(f(p)) for p in P])
 
 
-def _integrand_values(f, P) -> np.ndarray:
-    """f at the tags P through ``_eval_points``, every value finite.
+def _checked_values(batch, one, P, what: str) -> np.ndarray:
+    """``batch()``, the values at the points P, every one finite.
 
-    UndefinedTag, naming the first tag where f raises or is not finite, and
-    chained from the exception f raised there.
+    Where batch() raises, ``one(i)`` gives P[i]'s value, point by point up
+    to the first failure.  UndefinedTag "<what> <point>" names the first
+    point that raises or is not finite, chained from its exception.
     """
-    P = np.asarray(P, dtype=float)
     cause = None
     try:
-        vals = _eval_points(f, P)
+        vals = np.asarray(batch(), dtype=float)
     except Exception:
-        # point by point again, up to the first tag that fails
         vals = np.full(P.shape[0], np.nan)
-        for i, p in enumerate(P):
+        for i in range(P.shape[0]):
             try:
-                vals[i] = float(f(p))
+                vals[i] = float(one(i))
             except Exception as exc:
                 cause = exc
             if not np.isfinite(vals[i]):
                 break
     bad = ~np.isfinite(vals)
     if bad.any():
-        tag = P[int(np.argmax(bad))].tolist()
-        raise UndefinedTag(f"integrand undefined at tag {tag!r}") from cause
+        point = P[int(np.argmax(bad))].tolist()
+        raise UndefinedTag(f"{what} {point!r}") from cause
     return vals
+
+
+def _integrand_values(f, P, what: str = "integrand undefined at tag"):
+    """f at the points P through ``_eval_points``, every value finite; see
+    ``_checked_values``."""
+    P = np.asarray(P, dtype=float)
+    return _checked_values(lambda: _eval_points(f, P), lambda i: f(P[i]), P,
+                           what)
 
 
 class PrimitiveControl:
     """Additive interval control built from a point primitive F.
 
     Value of a single interval is F(d) - F(c); the value of a union is the
-    compensated sum of its interval values.  Budgets are compared against
-    absolute values, matching the nonnegative charge |F|.
+    sum of its interval values.  Budgets are compared against absolute
+    values, matching the nonnegative charge |F|.
 
     Every control the carve machinery accepts (this class,
     ``IntervalCharge``, the chain row control) defines ``eval_one(c, d)``,
@@ -693,9 +693,11 @@ class FamilyConstruction:
     remainder_value: float            # control value of the carved-out union
     gauge: Gauge
 
-    @property
+    @cached_property
     def partition(self) -> TaggedFamily1D:
-        """Family plus carve pairs; a partition of the host when carving ran."""
+        """Family plus carve pairs, merged once; a partition of the host."""
+        if self.carves.n == 0:
+            return self.family
         return self.family.merged(self.carves)
 
 
@@ -750,15 +752,7 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
     parts = [cousin_partition(seg, gauge, tag_order=tag_order,
                               max_depth=max_depth, max_nodes=max_nodes)
              for seg in segments]
-    if parts:
-        fam = TaggedFamily1D(
-            (a, b),
-            np.concatenate([p.lefts for p in parts]),
-            np.concatenate([p.rights for p in parts]),
-            np.concatenate([p.tags for p in parts]),
-        )
-    else:
-        fam = TaggedFamily1D((a, b), [], [], [])
+    fam = TaggedFamily1D((a, b), [], [], []).merged(*parts)
     carve_fam = TaggedFamily1D((a, b),
                                [c for c, _d, _y in carves],
                                [d for _c, d, _y in carves],
@@ -775,7 +769,7 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
 
 
 def riemann_sum(f, family: TaggedFamily1D) -> float:
-    """Sum of f(tag) * width over the family, compensated, in left-to-right order.
+    """Sum of f(tag) * width over the family, correctly rounded.
 
     f is called once on the array of tags when it accepts arrays, else
     once per tag.  UndefinedTag where f raises or is not finite.
@@ -1137,13 +1131,16 @@ def saks_henstock_audit(f, F, family: TaggedFamily1D, *,
                         vectorized: bool = False) -> float:
     """Sum of |f(tag) * width - (F(right) - F(left))| over the family.
 
-    f and F are called as in ``riemann_sum``, and UndefinedTag where f
-    raises or is not finite.  ``vectorized`` has no effect.
+    f and F are called as in ``riemann_sum``.  UndefinedTag where f raises
+    or is not finite at a tag, or F at an interval end.  ``vectorized`` has
+    no effect.
     """
     if family.n == 0:
         return 0.0
     vals = _integrand_values(f, family.tags)
-    dF = _eval_points(F, family.rights) - _eval_points(F, family.lefts)
+    ends = _integrand_values(F, np.concatenate([family.rights, family.lefts]),
+                             "primitive F undefined at interval end")
+    dF = ends[:family.n] - ends[family.n:]
     return compensated_sum(np.abs(vals * family.widths - dF))
 
 

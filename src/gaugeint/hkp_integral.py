@@ -38,7 +38,6 @@ from .errors import (
     ExceptionalTagEncountered,
     MonotonicityViolation,
     QuadratureUnstable,
-    UndefinedTag,
 )
 from .hk_core import (
     Certificate,
@@ -46,6 +45,7 @@ from .hk_core import (
     HKResult,
     Schedule,
     _certify,
+    _checked_values,
     _eval_points,
     _integrand_values,
     _tau_list,
@@ -176,15 +176,20 @@ def _tag_values(f, family: PieceFamily) -> np.ndarray:
         return np.empty(0)
     if not isinstance(f, ArcFunction):
         return _integrand_values(f, family.tag_points)
-    vals = f.eval_rows(family)
-    if not np.all(np.isfinite(vals)):
-        bad = family.tag_points[~np.isfinite(vals)][0]
-        raise UndefinedTag(f"integrand undefined at tag {bad.tolist()!r}")
-    return vals
+
+    def one(i):
+        # the row's map on a one-point array
+        return np.asarray(f.fns[int(family.ci[i])](family.tag_s[i:i + 1]))[0]
+
+    return _checked_values(lambda: f.eval_rows(family), one, family.tag_points,
+                           "integrand undefined at tag")
 
 
 def hkp_riemann_sum(f, family: PieceFamily) -> float:
-    """Sum of f(tag) * piece mass over the family, compensated, in order."""
+    """Sum of f(tag) * piece mass over the family, correctly rounded.
+
+    UndefinedTag, naming the first tag point, where f (or an ArcFunction's
+    map) raises or is not finite."""
     if family.n == 0:
         return 0.0
     return compensated_sum(_tag_values(f, family) * family.masses)

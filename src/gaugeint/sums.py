@@ -1,8 +1,8 @@
-"""Compensated summation used by every accumulation in the package.
+"""Correctly rounded summation used by every accumulation in the package.
 
-All Riemann sums, audits and masses reduce their terms through
-`compensated_sum`, in index order, so a total depends only on the terms and
-their order.
+All Riemann sums, audits and masses reduce their terms through `math.fsum`
+(Shewchuk's exact summation), so a total is the correctly rounded sum of
+its terms and does not depend on their order.
 """
 
 from __future__ import annotations
@@ -12,18 +12,12 @@ from typing import Iterable
 
 
 def compensated_sum(terms: Iterable[float]) -> float:
-    """Neumaier variant of Kahan summation, fixed index order."""
-    total = 0.0
-    carry = 0.0
-    for t in terms:
-        t = float(t)
-        s = total + t
-        if abs(total) >= abs(t):
-            carry += (total - s) + t
-        else:
-            carry += (t - s) + total
-        total = s
-    return total + carry
+    """``math.fsum`` of the terms; nan where it overflows or is not finite."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+    return total if math.isfinite(total) else math.nan
 
 
 def exact_sum(terms: Iterable[float]) -> float:

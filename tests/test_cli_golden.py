@@ -42,7 +42,7 @@ CASES = {
     "integrate_chain": (
         ["integrate", "--current", "circle.cur", "--fn", "x1", "--eps", "1e-2"],
         "integrate.csv", 0,
-        "7204786a83e694bb17c7fb168f9c7fa5e8350c06877abbf37fbba3de2f6c237f"),
+        "8106fb57825f74bf749efbb5396c22d2662ff4ac839ecfcce8008f854f12a319"),
     "integrate_chain_fail": (
         ["integrate", "--current", "zigzag.cur", "--fn", "norm",
          "--schedule", "uniform:0.5", "--eps", "1e-9"], "partial_sums.csv", 2,

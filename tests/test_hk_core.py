@@ -152,6 +152,23 @@ def test_cousin_partition_node_budget():
             cousin_partition((0.0, 1.0), g, max_nodes=100)
 
 
+@pytest.mark.parametrize("gauge, max_depth, error, message", [
+    # [0, 0.25] fits at depth 2; [0.25, 0.5], [0.5, 0.75] and [0.75, 1]
+    # stay open
+    (Gauge(0.0, 1.0, lambda x: 0.3 if x < 0.25 else 1e-6, name="step"), 2,
+     DepthExceeded, "step: max depth 2 reached near 0.25"),
+    # one gauge batch holds both depth-2 midpoints
+    (Gauge(0.0, 1.0, lambda x: -1.0 if x in (0.375, 0.625) else 0.05,
+           name="neg"), 64, InvalidGauge, "neg(0.375) = -1.0"),
+])
+def test_cousin_partition_errors_name_the_leftmost_point(gauge, max_depth,
+                                                         error, message):
+    for tag_order in ("left", "right"):
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            cousin_partition((0.0, 1.0), gauge, tag_order=tag_order,
+                             max_depth=max_depth)
+
+
 def test_tagged_family_rejects_unequal_lengths():
     for tags in ([0.1, 0.6, 0.9], [0.1]):
         with pytest.raises(ValueError, match="equal-length"):
@@ -346,6 +363,31 @@ def test_non_finite_integrand_is_an_undefined_tag(entry, bad):
     with pytest.raises(UndefinedTag, match="^" + re.escape(
             f"integrand undefined at tag {tag}") + "$") as info:
         run(lambda x: np.where(np.asarray(x) == 0.5, bad, x))
+    assert info.value.__cause__ is None
+
+
+def _primitive_raises_at_half(x):
+    x = np.asarray(x, dtype=float)
+    if np.any(x == 0.5):
+        raise KeyError("no value at 0.5")
+    return 0.5 * x * x
+
+
+_F_AT_HALF = "^" + re.escape("primitive F undefined at interval end 0.5") + "$"
+
+
+def test_audit_primitive_that_raises_names_its_point():
+    with pytest.raises(UndefinedTag, match=_F_AT_HALF) as info:
+        saks_henstock_audit(lambda x: x, _primitive_raises_at_half, _EIGHTHS)
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+def test_audit_non_finite_primitive_names_its_point():
+    with pytest.raises(UndefinedTag, match=_F_AT_HALF) as info:
+        saks_henstock_audit(
+            lambda x: x,
+            lambda x: np.where(np.asarray(x) == 0.5, np.nan, 0.5 * x * x),
+            _EIGHTHS)
     assert info.value.__cause__ is None
 
 

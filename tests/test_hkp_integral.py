@@ -1,6 +1,7 @@
 """Certified integration over chains: oracles, invariants, the verifier."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gaugeint import (
     MonotonicityViolation,
     PieceCharge,
     QuadratureUnstable,
+    UndefinedTag,
     ftc_verify,
     hkp_integrate,
     hkp_riemann_sum,
@@ -286,3 +288,55 @@ def test_tangential_fd_matches_gradient_route(segment345):
     fd = ArcFunction.tangential_fd(segment345, x1)
     ss = np.linspace(0.5, 4.5, 9)
     assert np.allclose(fd.fns[0](ss), 0.6, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# an ArcFunction whose map fails at a tag
+
+# the unit segment along the x axis: arc coordinate s is the point (s, 0);
+# a uniform width 0.13 gives the eighths, 0.5 among the tags
+_LINE = Current1D([(Curve(np.array([[0.0, 0.0], [1.0, 0.0]])), 1)])
+_LINE_GAUGE = uniform_current_schedule(0.13)
+
+_ARC_ENTRIES = {
+    "hkp_riemann_sum": lambda f: hkp_riemann_sum(f, howard_cousin_current(
+        _LINE, _LINE_GAUGE.gauge(1.0), mass_charge(), 1.0)),
+    "hkp_integrate": lambda f: hkp_integrate(f, _LINE, mass_charge(),
+                                             _LINE_GAUGE, 0.25).value,
+}
+_AT_HALF = "^" + re.escape("integrand undefined at tag [0.5, 0.0]") + "$"
+
+
+def _arc_raises_at_half(ss):
+    ss = np.asarray(ss, dtype=float)
+    if np.any(ss == 0.5):
+        raise KeyError("no value at 0.5")
+    return ss
+
+
+@pytest.mark.parametrize("entry", sorted(_ARC_ENTRIES))
+def test_arc_map_that_raises_is_an_undefined_tag(entry):
+    with pytest.raises(UndefinedTag, match=_AT_HALF) as info:
+        _ARC_ENTRIES[entry](ArcFunction({0: _arc_raises_at_half}))
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", sorted(_ARC_ENTRIES))
+def test_non_finite_arc_map_is_an_undefined_tag(entry, bad):
+    f = ArcFunction({0: lambda ss: np.where(np.asarray(ss) == 0.5, bad, ss)})
+    with pytest.raises(UndefinedTag, match=_AT_HALF) as info:
+        _ARC_ENTRIES[entry](f)
+    assert info.value.__cause__ is None
+
+
+def test_arc_function_missing_a_component_is_an_undefined_tag():
+    two = Current1D([(Curve(np.array([[0.0, 0.0], [1.0, 0.0]])), 1),
+                     (Curve(np.array([[0.0, 1.0], [1.0, 1.0]])), 1)])
+    fam = howard_cousin_current(two, _LINE_GAUGE.gauge(1.0), mass_charge(),
+                                1.0)
+    # the first tag on the second component, the segment at height 1
+    with pytest.raises(UndefinedTag, match=r"^integrand undefined at tag "
+                                           r"\[[^]]*, 1\.0\]$") as info:
+        hkp_riemann_sum(ArcFunction({0: lambda ss: ss}), fam)
+    assert isinstance(info.value.__cause__, KeyError)

@@ -3,7 +3,9 @@
 A traced run wraps the package's public functions from outside it and
 exits 1 before printing any metric when a wrapped name has gone or moved,
 or when an op's captured constructions no longer match what the run reads.
-One short traced pass over the interval FTC workload catches both.
+One short traced pass over a workload catches both: the interval FTC
+workload loads gauges, carves and audits, the mesh workload Cousin
+bisection and summation on meshes up to 2^20 cells.
 """
 
 import json
@@ -11,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_interval_ftc_run_exits_clean():
+@pytest.mark.parametrize("workload", ["interval_ftc", "interval_mesh"])
+def test_traced_run_exits_clean(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "interval_ftc",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
 from gaugeint import compensated_sum, exact_sum
@@ -29,12 +30,20 @@ def test_compensated_sum_fixed_order_is_deterministic():
     assert compensated_sum(terms) == compensated_sum(list(terms))
 
 
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False, allow_infinity=False)))
+# every term up to 1e306 in magnitude, subnormals included, and at most 100
+# of them, so no sum overflows
+@given(st.lists(st.floats(min_value=-1e306, max_value=1e306,
+                          allow_nan=False, allow_infinity=False),
+                max_size=100))
 def test_compensated_matches_fsum_on_bounded_data(terms):
-    got = compensated_sum(terms)
-    want = math.fsum(terms)
-    assert got == want or abs(got - want) <= 1e-9 * max(1.0, abs(want))
+    assert compensated_sum(terms).hex() == math.fsum(terms).hex()
+
+
+@pytest.mark.parametrize("terms", [[1e308, 1e308], [math.inf, 1.0],
+                                   [math.inf, -math.inf]])
+def test_compensated_sum_is_nan_where_fsum_overflows_or_is_not_finite(terms):
+    # math.fsum raises OverflowError or ValueError, or returns inf, here
+    assert math.isnan(compensated_sum(terms))
 
 
 @given(st.lists(st.integers(min_value=-2 ** 40, max_value=2 ** 40)))
