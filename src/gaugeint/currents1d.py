@@ -32,7 +32,7 @@ from .errors import (
     TraitViolation,
     UndefinedAtAtom,
 )
-from .hk_core import _ZERO_ORDERS, Gauge, howard_cousin_family
+from .hk_core import _ZERO_ORDERS, Gauge, _eval_points, howard_cousin_family
 from .sums import exact_sum
 
 __all__ = [
@@ -551,8 +551,11 @@ class PieceCharge:
     """Real function on pieces with declared traits.
 
     ``batch_rows``, when present, evaluates family rows
-    (parent, ci array, s1 array, s2 array, m array) -> value array; used by
-    the integrator's audits at scale.  Traits are checked by validate_on
+    (parent, ci array, s1 array, s2 array, m array) -> value array, each
+    row's value being fn's on the one-fragment piece (ci, s1, s2, m).
+    ``on_family`` and the carve controls of ``howard_cousin_current`` use it
+    in place of one Piece per row; mass and theta charges always carry it,
+    line-integral charges do not.  Traits are checked by validate_on
     against sampled splits of a concrete chain, since they quantify over
     all pieces.
     """
@@ -604,22 +607,46 @@ class PieceCharge:
 def theta_charge(u: Callable, *, name: str = "theta",
                  u_batch: Optional[Callable] = None,
                  continuous: bool = False) -> PieceCharge:
-    """The charge S -> boundary(S) paired with u."""
+    """The charge S -> boundary(S) paired with u.
+
+    A piece goes through ``theta_u``; family rows go through ``batch_rows``,
+    which evaluates u at every row's two ends at once, per component.
+    ``u_batch`` is only an array form of u, (n, dim) points -> (n,) values;
+    without it u is called on the arrays through ``_eval_points``.  A row
+    gets theta_u's value of its one-fragment piece, bit for bit: the two
+    atoms' fsum is the one rounded subtraction m*u(end) - m*u(start), and
+    ends at equal points cancel.  Where u is not finite at an end,
+    UndefinedAtAtom names that atom of the first such row, as theta_u
+    would on the row's piece.
+    """
     traits = {"additive"}
     if continuous:
         traits.add("continuous")
+    at = u_batch if u_batch is not None else (lambda P: _eval_points(u, P))
 
-    batch = None
-    if u_batch is not None:
-        def batch(parent, ci, s1, s2, m):
-            out = np.empty(ci.shape[0])
-            for c in np.unique(ci):
-                curve = parent.components[int(c)][0]
-                rows = ci == c
-                u2 = np.asarray(u_batch(curve.point_at_many(s2[rows])), float)
-                u1 = np.asarray(u_batch(curve.point_at_many(s1[rows])), float)
-                out[rows] = m[rows] * (u2 - u1)
-            return out
+    def batch(parent, ci, s1, s2, m):
+        n = ci.shape[0]
+        u1, u2 = np.empty(n), np.empty(n)
+        same = np.empty(n, dtype=bool)
+        for c in np.unique(ci):
+            curve = parent.components[int(c)][0]
+            rows = ci == c
+            P2 = curve.point_at_many(s2[rows])
+            P1 = curve.point_at_many(s1[rows])
+            u2[rows] = np.asarray(at(P2), dtype=float)
+            u1[rows] = np.asarray(at(P1), dtype=float)
+            same[rows] = (P2 == P1).all(axis=1)
+        u1[same] = u2[same] = 0.0
+        bad = ~(np.isfinite(u2) & np.isfinite(u1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            P = parent.components[int(ci[i])][0].point_at_many([s2[i], s1[i]])
+            atoms = sorted((tuple(float(v) for v in p), val)
+                           for p, val in zip(P, (u2[i], u1[i])))
+            p = next(p for p, val in atoms if not math.isfinite(val))
+            raise UndefinedAtAtom(f"u non-finite at boundary atom {p!r}")
+        # + 0.0 turns a -0.0 into 0.0, as fsum does
+        return m * u2 - m * u1 + 0.0
 
     return PieceCharge(lambda S: theta_u(u, S), frozenset(traits), name, batch)
 
@@ -672,7 +699,7 @@ class PieceFamily:
     """
 
     __slots__ = ("parent", "ci", "s1", "s2", "m", "tag_s", "tag_points",
-                 "remainder_value", "tail_kept")
+                 "remainder_value", "tail_kept", "__weakref__")
 
     def __init__(self, parent: Current1D, ci, s1, s2, m, tag_s,
                  tag_points=None, *, validate: bool = True):

@@ -15,6 +15,7 @@ tangent-dependent integrands stay well defined at polyline vertices.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -48,6 +49,7 @@ from .hk_core import (
     _checked_values,
     _eval_points,
     _integrand_values,
+    _shared_seeds,
     _tau_list,
     ftc_gauge,
 )
@@ -221,7 +223,9 @@ def uniform_current_schedule(h) -> Schedule:
 
 
 def arc_gauge_schedule(builders: dict) -> Schedule:
-    """Per-component interval gauges: builders[ci] is eps -> Gauge on [0, L]."""
+    """Per-component interval gauges: builders[ci] is eps -> Gauge on [0, L].
+
+    ``hkp_integrate`` calls each builder once per component and call."""
     def build(eps: float):
         return lambda ci, curve: builders[ci](eps)
     return Schedule(build)
@@ -244,23 +248,78 @@ def hkp_integrate(f, T: Current1D, G: PieceCharge, gauge_schedule,
     the same certificate, so the certified gap is the spread of all recorded
     sums; CauchyFail carries the per-tau sums, whose growth as tau shrinks
     is the non-integrability diagnostic.
+
+    Each component's arc gauge is pulled back once per call, and the two
+    seeds share one bisection pass per component segment they both cover
+    (see ``hk_core.cousin_partition``), bit for bit the families two lone
+    ``howard_cousin_current`` builds give.
+    """
+    return _certify_each([f], T, G, gauge_schedule, eps, tau_schedule,
+                         max_depth=max_depth, max_nodes=max_nodes)[0]
+
+
+def _certify_each(fs: Sequence, T: Current1D, G: PieceCharge, gauge_schedule,
+                  eps: float, tau_schedule=None, *, max_depth: int = 64,
+                  max_nodes: int = 4_000_000) -> list:
+    """``hkp_integrate`` of each integrand of fs, in order, on one build of
+    the families.
+
+    The families do not depend on the integrand, so each (tau, tag order,
+    zero order) is built once, when the first integrand asks for it, and
+    the later ones sum the same family: results and errors come as a loop
+    of lone calls gives them.  The arc gauges are memoized per (component,
+    curve), since the seed store knows a gauge by its object.  The builds
+    are dropped before the call leaves, also by an error, whose traceback
+    keeps this frame.
     """
     if not (eps > 0.0):
         raise ValueError(f"eps {eps!r} must be positive")
     sched = as_current_schedule(gauge_schedule)
     gauge = sched.gauge(eps)
     taus = _tau_list(tau_schedule, sched, eps)
+    name = gauge.name if isinstance(gauge, AmbientGauge) else "per-component"
+    snap = 1e-9 * T.diameter()
+    arcs: dict = {}
+    builds: dict = {}
+
+    def arc_gauge(ci: int, curve: Curve) -> Gauge:
+        if (ci, curve) not in arcs:
+            arcs[ci, curve] = gauge.pullback(curve, snap) \
+                if isinstance(gauge, AmbientGauge) else gauge(ci, curve)
+        return arcs[ci, curve]
 
     def build(tau, tag_order, zero_order):
-        return howard_cousin_current(T, gauge, G, tau, tag_order=tag_order,
-                                     zero_order=zero_order,
-                                     max_depth=max_depth, max_nodes=max_nodes)
+        key = (tau, tag_order, zero_order)
+        if key in builds:
+            return builds[key]
+        # only the smallest tau has a right seed to share a pass with: a
+        # larger tau's left build gets a store of its own, gone with it
+        with _shared_seeds() if tau != taus[-1] else nullcontext():
+            fam = howard_cousin_current(
+                T, arc_gauge, G, tau, tag_order=tag_order,
+                zero_order=zero_order, max_depth=max_depth,
+                max_nodes=max_nodes)
+        # kept for the integrands after the first; a lone integrand lets
+        # each tau's family go once the next is built
+        if len(fs) > 1:
+            builds[key] = fam
+        return fam
 
-    sum_a, sum_b, gap, partial, fams = _certify(
-        build, lambda fam: hkp_riemann_sum(f, fam), eps, taus)
-    name = gauge.name if isinstance(gauge, AmbientGauge) else "per-component"
-    cert = Certificate(sum1=sum_a, sum2=sum_b, gauge_name=name,
-                       sizes=(fams[0].n, fams[1].n), tau=taus[-1],
+    try:
+        with _shared_seeds():
+            return [_hkp_result(_certify(
+                build, lambda fam: hkp_riemann_sum(f, fam), eps, taus),
+                name, taus[-1]) for f in fs]
+    finally:
+        builds.clear()
+        arcs.clear()
+
+
+def _hkp_result(certified: tuple, gauge_name: str, tau: float) -> HKResult:
+    """The HKResult of one ``_certify`` outcome."""
+    sum_a, sum_b, gap, partial, fams = certified
+    cert = Certificate(sum1=sum_a, sum2=sum_b, gauge_name=gauge_name,
+                       sizes=(fams[0].n, fams[1].n), tau=tau,
                        remainders=(fams[0].remainder_value,
                                    fams[1].remainder_value))
     return HKResult(value=0.5 * (sum_a + sum_b), epsilon=gap,
@@ -366,7 +425,9 @@ def monotone_convergence_harness(f_seq: Sequence, T: Current1D,
     Pointwise monotonicity is sampled at arc-uniform support points (tiny
     offsets keep samples off carve points); certified values must be
     nondecreasing within the pairwise certificates.  Returns the HKResult
-    list; the last value is the limit estimate.
+    list; the last value is the limit estimate.  The families do not depend
+    on the integrand, so one family pair (one per tau) serves the whole
+    sequence; each result equals a lone ``hkp_integrate`` call's.
     """
     samples = []
     for ci, (curve, _m) in enumerate(T.components):
@@ -381,8 +442,8 @@ def monotone_convergence_harness(f_seq: Sequence, T: Current1D,
                 i = int(np.argmax(vb < va))
                 raise MonotonicityViolation(
                     f"sequence decreases at sampled point {pts[i]!r}")
-    results = [hkp_integrate(fk, T, G, gauge_schedule, eps,
-                             tau_schedule=tau_schedule) for fk in f_seq]
+    results = _certify_each(f_seq, T, G, gauge_schedule, eps,
+                            tau_schedule) if f_seq else []
     for ra, rb in zip(results, results[1:]):
         if rb.value < ra.value - (ra.epsilon + rb.epsilon + eps):
             raise MonotonicityViolation(
@@ -509,9 +570,9 @@ def ftc_verify(u: Callable, T: Current1D, eps_schedule: Sequence[float], *,
         f = ArcFunction.tangential(T, Du)
     else:
         f = ArcFunction.tangential_fd(T, u)
-    ub = u_batch if u_batch is not None else (lambda P: _eval_points(u, P))
     G = control if control is not None else \
-        abs_charge(theta_charge(u, u_batch=ub, continuous=True))
+        abs_charge(theta_charge(u, u_batch=u_batch, continuous=True))
+    ub = u_batch if u_batch is not None else (lambda P: _eval_points(u, P))
 
     snap = 1e-9 * T.diameter()
     exc_arc = {}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from gaugeint import (
     PieceFamily,
     PointOffSupport,
     SpecOutOfRange,
+    UndefinedAtAtom,
+    abs_charge,
     boundary,
     derivate,
     dumps_current,
@@ -515,3 +518,135 @@ def test_row_control_eval_many_calls_charge_once_per_pair():
     assert [S.fragments for S in calls] == \
         [((2, c, d, 2),) for c, d in zip(cs.tolist(), ds.tolist())]
     assert _bits(got) == _bits(ref)
+
+
+# ---------------------------------------------------------------------------
+# theta charges on family rows: theta_u's value of each row's piece, bit for
+# bit, whatever form u comes in
+
+def _theta_vector(P):
+    P = np.asarray(P, dtype=float)
+    return P[..., 0] * 1.3 - P[..., 1] ** 2
+
+
+def _theta_scalar(p):
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise TypeError("one point at a time")
+    return math.exp(p[0]) * 0.3 - p[1] ** 3
+
+
+def _theta_square(p):
+    # indexes p[0], p[1]: on an (n, 2) array it mixes rows and still
+    # returns shape (n,) when n == 2
+    return p[0] ** 2 + p[1] ** 2
+
+
+# form -> (u, u_batch)
+_THETA_FORMS = {
+    "u_batch": (_theta_vector, _theta_vector),
+    "vector": (_theta_vector, None),
+    "scalar": (_theta_scalar, None),
+    "square": (_theta_square, None),
+    # -0.0 right of x = 1, 0.0 left of it: a row's atoms sum to 0.0
+    "signed_zero": (lambda p: (1.0 - np.asarray(p)[..., 0]) * 0.0, None),
+}
+
+
+def _mult3_chain():
+    return Current1D([
+        (Curve(np.array([[0.1, 0.2], [0.9, -0.35], [1.7, 0.45],
+                         [2.3, 0.1]])), 3),
+        (Curve(np.array([[-2.0, 0.0], [-1.5, 1.0 / 3.0], [-1.0, 0.2],
+                         [-0.6, 0.5]])), 2),
+    ])
+
+
+@pytest.mark.parametrize("form", sorted(_THETA_FORMS))
+@pytest.mark.parametrize("chain", [_three_component_chain, _mult3_chain])
+def test_theta_rows_match_theta_u(form, chain):
+    T = chain()
+    u, u_batch = _THETA_FORMS[form]
+    G = theta_charge(u, u_batch=u_batch)
+    frs = _fragments(T)
+    ci, s1, s2, m = (np.array(col) for col in zip(*frs))
+    ref = np.array([theta_u(u, Piece(T, [row])) for row in frs])
+    fam = PieceFamily(T, ci, s1, s2, m, s1, validate=False)
+    got = G.on_family(fam)
+    assert _bits(got) == _bits(ref)
+    assert _bits(abs_charge(G).on_family(fam)) == _bits(np.abs(ref))
+    # m = 1 rows and m > 1 rows; the heptagon's full loop has no boundary
+    assert {1, 2} <= set(m.tolist())
+    closed = [k for k, (c, a, b, _m) in enumerate(frs)
+              if T.components[c][0].closed and a == 0.0
+              and b == T.components[c][0].length]
+    assert got[closed].tolist() == [0.0] * len(closed)
+    assert not np.signbit(got[closed]).any()
+    # two rows of one component: an (n, 2) batch with n == 2
+    assert ci[0] == ci[1]
+    assert _bits(G.batch_rows(T, ci[:2], s1[:2], s2[:2], m[:2])) == \
+        _bits(ref[:2])
+
+
+def test_theta_rows_on_multiplicity_three_are_the_atoms_sum():
+    # a row's value is fsum(m*u2, -m*u1), one rounded subtraction; the
+    # product m*(u2 - u1) differs from it by an ulp on some m = 3 rows
+    T = _mult3_chain()
+    frs = [row for row in _fragments(T) if row[3] == 3]
+    ci, s1, s2, m = (np.array(col) for col in zip(*frs))
+    got = theta_charge(_theta_vector).batch_rows(T, ci, s1, s2, m)
+    curve = T.components[0][0]
+    u2 = _theta_vector(curve.point_at_many(s2))
+    u1 = _theta_vector(curve.point_at_many(s1))
+    assert _bits(got) == _bits([math.fsum([3.0 * b, -3.0 * a])
+                                for a, b in zip(u1, u2)])
+    assert _bits(got) != _bits(3.0 * (u2 - u1))
+
+
+def _nan_at(bad):
+    """u = x, not finite at the x coordinates in bad; scalar only."""
+    def u(p):
+        x = float(p[0])
+        return bad.get(x, x)
+    return u
+
+
+@pytest.mark.parametrize("bad, atom", [
+    ({0.5: math.nan}, (0.5, 0.0)),
+    # the first row with a non-finite atom ...
+    ({0.5: math.nan, 0.25: math.inf}, (0.25, 0.0)),
+    ({1.0: -math.inf, 0.75: math.nan}, (0.75, 0.0)),
+    # ... and of its two, the first in theta_u's (sorted) order
+    ({0.25: -math.inf, 0.0: math.nan}, (0.0, 0.0)),
+])
+@pytest.mark.parametrize("form", ["u_batch", "scalar"])
+def test_theta_rows_raise_at_the_first_non_finite_atom(form, bad, atom):
+    seg = Current1D([(Curve(np.array([[0.0, 0.0], [1.0, 0.0]])), 1)])
+    u = _nan_at(bad)
+
+    def u_batch(P):
+        return np.array([u(p) for p in P])
+
+    s = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    fam = PieceFamily(seg, [0] * 4, s[:-1], s[1:], [1] * 4, s[:-1])
+    G = abs_charge(theta_charge(u, u_batch=u_batch if form == "u_batch"
+                                else None))
+    msg = re.escape(f"u non-finite at boundary atom {atom!r}")
+    with pytest.raises(UndefinedAtAtom, match=msg):
+        G.on_family(fam)
+    # the per-piece path names the same atom on the first bad row
+    first = min(i for i in range(4) if {s[i], s[i + 1]} & set(bad))
+    with pytest.raises(UndefinedAtAtom, match=msg):
+        G(Piece(seg, [(0, s[first], s[first + 1], 1)]))
+
+
+def test_theta_row_of_a_closed_loop_skips_its_seam():
+    # a full loop has no boundary, so u is never needed at its seam
+    T = _three_component_chain()
+    curve = T.components[1][0]
+    seam = tuple(curve.vertices[0].tolist())
+    u = lambda p: math.nan if tuple(p.tolist()) == seam else float(p[0])
+    G = theta_charge(u)
+    row = (1, 0.0, curve.length, 1)
+    assert theta_u(u, Piece(T, [row])) == 0.0
+    assert G.batch_rows(T, *(np.array([v]) for v in row)).tolist() == [0.0]

@@ -1,7 +1,10 @@
 """Certified integration over chains: oracles, invariants, the verifier."""
 
+import gc
 import math
 import re
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,10 +16,12 @@ from gaugeint import (
     Curve,
     Current1D,
     ExceptionalTagEncountered,
+    Gauge,
     MonotonicityViolation,
     PieceCharge,
     QuadratureUnstable,
     UndefinedTag,
+    arc_gauge_schedule,
     ftc_verify,
     hkp_integrate,
     hkp_riemann_sum,
@@ -28,9 +33,11 @@ from gaugeint import (
     piece_as_current,
     restrict,
     saks_henstock_hkp_audit,
+    theta_charge,
     uniform_current_schedule,
 )
-from gaugeint.hkp_integral import REPORT_COLUMNS, REPORT_PREAMBLE
+import gaugeint.hkp_integral as hkp_module
+from gaugeint.hkp_integral import REPORT_COLUMNS, REPORT_PREAMBLE, _certify_each
 
 # seed gap for a Lipschitz integrand is about Lip * h * length, so the
 # blanket mesh keeps a margin under eps for length-5 chains
@@ -340,3 +347,190 @@ def test_arc_function_missing_a_component_is_an_undefined_tag():
                                            r"\[[^]]*, 1\.0\]$") as info:
         hkp_riemann_sum(ArcFunction({0: lambda ss: ss}), fam)
     assert isinstance(info.value.__cause__, KeyError)
+
+
+# ---------------------------------------------------------------------------
+# one build of each family per call: shared seeds, one pullback per
+# component, one family pair for a sequence of integrands
+
+_SEEDS = (("left", "declared"), ("right", "reversed"))
+
+
+def _record_builds(monkeypatch):
+    """The families hkp_integral builds, in build order."""
+    built = []
+
+    def recording(*args, **kwargs):
+        fam = howard_cousin_current(*args, **kwargs)
+        built.append(fam)
+        return fam
+
+    monkeypatch.setattr(hkp_module, "howard_cousin_current", recording)
+    return built
+
+
+def _recorded_ambient(zero=None):
+    """Ambient gauge recording every point its batch evaluator sees;
+    vanishing at the point ``zero`` when given."""
+    seen = []
+
+    def width(P):
+        P = np.asarray(P, dtype=float)
+        d = 0.002 + 0.005 * (P[..., 0] + 1.0) ** 2
+        if zero is not None:
+            d = np.minimum(d, 0.3 * np.hypot(P[..., 0] - zero[0],
+                                             P[..., 1] - zero[1]))
+        return d
+
+    def batch(P):
+        seen.extend(map(tuple, np.asarray(P, dtype=float).tolist()))
+        return width(P)
+
+    return AmbientGauge(fn=lambda p: float(width(p)), batch_fn=batch,
+                        zero_points=() if zero is None else (zero,),
+                        name="recorded"), seen
+
+
+def _same_family(got, want):
+    for attr in ("ci", "s1", "s2", "m", "tag_s", "tag_points"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+    assert got.remainder_value == want.remainder_value
+    assert got.tail_kept == want.tail_kept
+
+
+@pytest.mark.parametrize("zero", [None, (0.0, 1.0)])
+def test_hkp_integrate_seeds_share_one_bisection(circle1024, monkeypatch,
+                                                 zero):
+    eps = 0.1
+    gauge, seen = _recorded_ambient(zero)
+    G = mass_charge()
+    built = _record_builds(monkeypatch)
+    res = hkp_integrate(x1, circle1024, G, gauge, eps)
+    certified = list(seen)
+    seen.clear()
+    lone = [howard_cousin_current(circle1024, gauge, G, eps / 4.0,
+                                  tag_order=t, zero_order=z)
+            for t, z in _SEEDS]
+    # the two families are two lone builds', bit for bit ...
+    assert len(built) == 2
+    for got, want in zip(built, lone):
+        _same_family(got, want)
+    cert = res.certificate
+    assert (cert.sum1, cert.sum2) == tuple(hkp_riemann_sum(x1, fam)
+                                           for fam in lone)
+    assert cert.sizes == (lone[0].n, lone[1].n)
+    # ... yet the call sees no point twice, but for the seam vertex, which
+    # is both arc 0 and arc L
+    seam = tuple(circle1024.components[0][0].vertices[0].tolist())
+    twice = [p for p, k in Counter(certified).items() if k > 1]
+    assert twice in ([], [seam])
+    assert Counter(certified)[seam] <= 2
+    # where the lone builds see nearly every point twice
+    assert set(seen) == set(certified)
+    assert len(seen) > 1.9 * len(certified)
+
+
+def _foot_gauges(refs):
+    """Per-component arc gauges vanishing at the foot, each one's weakref
+    appended to refs."""
+    def per_comp(ci, curve):
+        g = Gauge(0.0, curve.length, lambda s: min(1e-2, s), (0.0,),
+                  lambda ss: np.minimum(1e-2, np.asarray(ss, dtype=float)),
+                  name="foot")
+        refs.append(weakref.ref(g))
+        return g
+    return lambda eps: per_comp
+
+
+_ZERO = ArcFunction({0: lambda ss: 0.0 * np.asarray(ss, dtype=float)})
+# 1/s at the foot: each smaller tau uncovers more of the divergence, the
+# shape of the |du/ds| witness
+_FOOT = ArcFunction({0: lambda ss: 1.0 / np.asarray(ss, dtype=float)})
+_TAUS = [1e-1, 1e-2, 1e-3]
+
+
+@pytest.mark.parametrize("fs, fails", [([_ZERO], False), ([_FOOT], True),
+                                       ([_ZERO, _FOOT], True)])
+def test_builds_do_not_outlive_the_call(segment345, monkeypatch, fs, fails):
+    gauges = []
+    built = _record_builds(monkeypatch)
+    try:
+        _certify_each(fs, segment345, mass_charge(), _foot_gauges(gauges),
+                      1e-3, _TAUS)
+        held = None
+    except CauchyFail as exc:
+        held = exc
+    assert (held is not None) == fails
+    refs = [weakref.ref(fam) for fam in built]
+    del built[:]
+    gc.collect()
+    # dropped before the error left, though its traceback is still held
+    assert len(refs) == len(_TAUS) + 1 and len(gauges) == 1
+    assert all(r() is None for r in refs + gauges)
+
+
+def _fields(res):
+    """Every float a result carries, as exact hex strings."""
+    c = res.certificate
+    flat = [res.value, res.epsilon, c.sum1, c.sum2, *c.remainders, c.tau,
+            *(x for row in res.partial_sums for x in row)]
+    return [float(x).hex() for x in flat] + [c.sizes, c.gauge_name]
+
+
+def _truncations():
+    def f_trunc(k):
+        def fn(ss):
+            with np.errstate(divide="ignore"):
+                v = 1.0 / np.sqrt(np.maximum(ss, 0.0))
+            return np.minimum(v, float(k))
+        return ArcFunction({0: fn}, name=f"min(s^-1/2,{k})")
+
+    def build(eps):
+        return Gauge(0.0, 1.0, lambda s: min(eps / 8.0, 0.5 * eps * s),
+                     zero_set=(0.0,))
+
+    seg = Current1D([(Curve(np.array([[0.0, 0.0], [1.0, 0.0]])), 1)])
+    u2 = lambda p: 2.0 * math.sqrt(max(float(np.asarray(p)[0]), 0.0))
+    return ([f_trunc(k) for k in (1, 10, 100, 10 ** 4)], seg,
+            theta_charge(u2), arc_gauge_schedule({0: build}))
+
+
+@pytest.mark.parametrize("taus", [[3e-3], [6e-3, 3e-3]])
+def test_monotone_harness_builds_one_family_pair(monkeypatch, taus):
+    fs, seg, G, sched = _truncations()
+    eps = 1.2e-2
+    built = _record_builds(monkeypatch)
+    results = monotone_convergence_harness(fs, seg, G, sched, eps,
+                                           tau_schedule=taus)
+    # one left family per tau and one right family, for the whole sequence
+    assert len(built) == len(taus) + 1
+    del built[:]
+    lone = [hkp_integrate(f, seg, G, sched, eps, tau_schedule=taus)
+            for f in fs]
+    assert len(built) == len(fs) * (len(taus) + 1)
+    assert [_fields(r) for r in results] == [_fields(r) for r in lone]
+
+
+def test_sequence_raises_what_a_loop_of_lone_calls_raises(segment345):
+    nan_beyond = ArcFunction({0: lambda ss: np.where(
+        np.asarray(ss) > 2.5, np.nan, 0.0 * np.asarray(ss))})
+    fs = [_ZERO, nan_beyond, _FOOT]
+    sched = _foot_gauges([])
+
+    def first_error(call):
+        with pytest.raises(Exception) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    def loop():
+        for f in fs:
+            hkp_integrate(f, segment345, mass_charge(), sched, 1e-3,
+                          tau_schedule=_TAUS)
+
+    want = first_error(loop)
+    assert want[0] is UndefinedTag
+    assert first_error(lambda: _certify_each(
+        fs, segment345, mass_charge(), sched, 1e-3, _TAUS)) == want
+    assert first_error(lambda: _certify_each(
+        fs[::-1], segment345, mass_charge(), sched, 1e-3, _TAUS))[0] \
+        is CauchyFail

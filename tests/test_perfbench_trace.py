@@ -5,7 +5,10 @@ exits 1 before printing any metric when a wrapped name has gone or moved,
 or when an op's captured constructions no longer match what the run reads.
 One short traced pass over a workload catches both: the interval FTC
 workload loads gauges, carves and audits, the mesh workload Cousin
-bisection and summation on meshes up to 2^20 cells.
+bisection and summation on meshes up to 2^20 cells, and the chain workload
+the wrapped chain names: the row controls' eval_one, eval_many and
+union_value, theta_u, howard_cousin_current, PieceCharge.__call__ and
+on_family, and hkp_integrate.
 """
 
 import json
@@ -18,7 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["interval_ftc", "interval_mesh"])
+@pytest.mark.parametrize("workload",
+                         ["interval_ftc", "interval_mesh", "chain_hkp"])
 def test_traced_run_exits_clean(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
