@@ -550,14 +550,15 @@ def lambda_f(f: Callable, S: Piece) -> float:
 class PieceCharge:
     """Real function on pieces with declared traits.
 
-    ``batch_rows``, when present, evaluates family rows
-    (parent, ci array, s1 array, s2 array, m array) -> value array, each
-    row's value being fn's on the one-fragment piece (ci, s1, s2, m).
-    ``on_family`` and the carve controls of ``howard_cousin_current`` use it
-    in place of one Piece per row; mass and theta charges always carry it,
-    line-integral charges do not.  Traits are checked by validate_on
-    against sampled splits of a concrete chain, since they quantify over
-    all pieces.
+    ``rows`` gives each family row's value, the value of fn on its
+    one-fragment piece (ci, s1, s2, m); ``on_family`` and the carve
+    controls of ``howard_cousin_current`` read rows through it.
+    ``batch_rows``, when set, evaluates the rows
+    (parent, ci array, s1 array, s2 array, m array) -> value array at once;
+    without it ``rows`` builds one Piece per row.  Mass and theta charges,
+    and the absolute value of any charge, carry it; line-integral charges do
+    not.  Traits are checked by validate_on against sampled splits of a
+    concrete chain, since they quantify over all pieces.
     """
 
     fn: Callable[[Piece], float]
@@ -568,12 +569,16 @@ class PieceCharge:
     def __call__(self, S: Piece) -> float:
         return float(self.fn(S))
 
-    def on_family(self, family: "PieceFamily") -> np.ndarray:
+    def rows(self, parent: Current1D, ci, s1, s2, m) -> np.ndarray:
         if self.batch_rows is not None:
-            return np.asarray(self.batch_rows(family.parent, family.ci,
-                                              family.s1, family.s2, family.m),
+            return np.asarray(self.batch_rows(parent, ci, s1, s2, m),
                               dtype=float)
-        return np.array([self(S) for S, _tag in family.pairs()])
+        return np.array([self(Piece(parent, [row], validate=False))
+                         for row in zip(ci, s1, s2, m)])
+
+    def on_family(self, family: "PieceFamily") -> np.ndarray:
+        return self.rows(family.parent, family.ci, family.s1, family.s2,
+                         family.m)
 
     def validate_on(self, T: Current1D, *, seed: int = 11,
                     rounds: int = 32) -> None:
@@ -675,10 +680,8 @@ def abs_charge(charge: PieceCharge, *, name: Optional[str] = None) -> PieceCharg
     traits = {"subadditive", "nonnegative"}
     if "continuous" in charge.traits:
         traits.add("continuous")
-    batch = None
-    if charge.batch_rows is not None:
-        def batch(parent, ci, s1, s2, m):
-            return np.abs(charge.batch_rows(parent, ci, s1, s2, m))
+    def batch(parent, ci, s1, s2, m):
+        return np.abs(charge.rows(parent, ci, s1, s2, m))
 
     return PieceCharge(lambda S: abs(charge.fn(S)), frozenset(traits),
                        name or f"|{charge.name}|", batch)
@@ -758,15 +761,6 @@ class PieceFamily:
             if int(np.max(np.cumsum(dm[order]))) > mult:
                 raise ValueError(
                     f"family coverage exceeds multiplicity on component {c}")
-
-    def pairs(self):
-        """Materialize (Piece, tag point) pairs; rows with m copies yield
-        one piece of that many unit copies."""
-        for i in range(self.n):
-            yield (Piece(self.parent,
-                         [(int(self.ci[i]), float(self.s1[i]),
-                           float(self.s2[i]), int(self.m[i]))]),
-                   self.tag_points[i])
 
     def is_fine(self, delta_of_row, *, exact_diameter: bool = False) -> bool:
         """Fineness against per-row gauge values.
@@ -885,14 +879,14 @@ def mass_continuity_witness(T: Current1D, pieces: Sequence[Piece]) -> list:
 class AmbientGauge:
     """Width function on ambient points, with ambient zero points.
 
-    Pulled back through each component's arc-length parameterization this
-    becomes an interval gauge; the parameterization is 1-Lipschitz so fine
-    arc intervals give fine pieces.
+    ``fn`` takes one point or an (n, dim) array of points, as
+    ``_eval_points`` calls it.  Pulled back through each component's
+    arc-length parameterization this becomes an interval gauge; the
+    parameterization is 1-Lipschitz so fine arc intervals give fine pieces.
     """
 
     fn: Callable
     zero_points: tuple = ()
-    batch_fn: Optional[Callable] = None
     name: str = "ambient"
 
     def pullback(self, curve: Curve, snap: float) -> Gauge:
@@ -901,13 +895,9 @@ class AmbientGauge:
             dist, s = curve.nearest(p)
             if dist <= snap:
                 zs.append(s)
-        fn = lambda s: float(self.fn(curve.point_at(s)))
-        batch = None
-        if self.batch_fn is not None:
-            batch = lambda ss: np.asarray(
-                self.batch_fn(curve.point_at_many(ss)), dtype=float)
-        return Gauge(0.0, curve.length, fn, tuple(zs), batch,
-                     name=self.name + "|arc")
+        return Gauge(0.0, curve.length,
+                     lambda ss: _eval_points(self.fn, curve.point_at_many(ss)),
+                     tuple(zs), name=self.name + "|arc")
 
 
 class _RowControl:
@@ -926,15 +916,9 @@ class _RowControl:
     def eval_many(self, cs, ds) -> np.ndarray:
         cs = np.asarray(cs, dtype=float)
         ds = np.asarray(ds, dtype=float)
-        if self.G.batch_rows is not None:
-            n = cs.shape[0]
-            ci = np.full(n, self.ci, dtype=np.int64)
-            m = np.full(n, self.mult, dtype=np.int64)
-            return np.asarray(self.G.batch_rows(self.T, ci, cs, ds, m),
-                              dtype=float)
-        return np.array([self.G(Piece(self.T, [(self.ci, c, d, self.mult)],
-                                      validate=False))
-                         for c, d in zip(cs, ds)])
+        n = cs.shape[0]
+        return self.G.rows(self.T, np.full(n, self.ci, dtype=np.int64), cs, ds,
+                           np.full(n, self.mult, dtype=np.int64))
 
     def union_value(self, intervals) -> float:
         if not intervals:

@@ -194,14 +194,13 @@ def two_curves(tolerance: float = 2e-2, *, t_min: Optional[float] = None) -> dic
         neighborhood of the truncation point.
         """
         def build(ci: int, curve: Curve) -> Gauge:
-            def batch(ss):
+            def fn(ss):
                 ss = np.asarray(ss, dtype=float)
                 t = t_of_s(ss)
                 return np.where(ss == 0.0, 0.0,
                                 np.minimum(cap, frac * rt2 * 0.5 * math.pi * t ** 3))
 
-            return Gauge(0.0, curve.length, lambda s: float(batch(s)),
-                         (0.0,), batch, name=f"hump[{frac!r}]")
+            return Gauge(0.0, curve.length, fn, (0.0,), name=f"hump[{frac!r}]")
 
         return build
 
@@ -491,13 +490,12 @@ def dirichlet(q_max: int = 7) -> dict:
     cap = 0.45 * gap
 
     def build(eps: float) -> Gauge:
-        def batch(xs):
+        def width(xs):
             xs = np.asarray(xs, dtype=float)
             d = np.min(np.abs(xs[..., None] - points), axis=-1)
             return np.minimum(cap, 0.5 * d)
 
-        return Gauge(0.0, 1.0, lambda x: float(batch(x)),
-                     tuple(points), batch, name=f"dirichlet[{q_max}]")
+        return Gauge(0.0, 1.0, width, tuple(points), name=f"dirichlet[{q_max}]")
 
     schedule = as_schedule(build, control=PrimitiveControl(lambda x: 0.0,
                                                            name="null"))

@@ -15,9 +15,10 @@ Numerical conventions (fixed so runs are reproducible):
   * Riemann sums, audits and probes evaluate integrands and primitives
     through one helper, ``_eval_points``: one call on the array of points
     where the function accepts arrays, else one call per point,
+  * a gauge is one callable, evaluated through the same helper, so one
+    written for a float and its array form build the same family,
   * bisection runs level by level: each candidate column of one depth is
-    one ``Gauge.eval_many`` call, whether or not the gauge has a batch
-    evaluator,
+    one ``Gauge.eval_many`` call,
   * bisection tag candidates tried left endpoint, midpoint, right endpoint
     for the primary seed and in reversed order for the certification seed,
   * dyadic radius searches from the host length down to 1e-12 times the
@@ -39,6 +40,7 @@ from .errors import (
     CauchyFail,
     ContinuityBudgetFail,
     DepthExceeded,
+    GaugeIntError,
     InvalidGauge,
     SearchFail,
     UndefinedTag,
@@ -86,18 +88,19 @@ _FAN_REST = np.delete(_FAN, [0, 16])
 class Gauge:
     """Nonnegative width function on a host interval.
 
-    ``fn`` is the scalar evaluator.  ``batch_fn`` (optional) evaluates a
-    numpy array of points at once; without it ``eval_many`` calls ``fn``
-    point by point, so bisection gives the same family either way and
-    ``batch_fn`` only saves time.  ``zero_set`` lists the only points
-    where the gauge may evaluate to 0; this is checked on every evaluation.
+    ``fn`` is the one evaluator.  ``eval_many`` and a call on one point
+    evaluate it through ``_eval_points``: one call on the array of points
+    where fn gives one value per point, else one call per point.  Where a
+    point call raises, InvalidGauge names the gauge and the point, chained
+    from the cause; a GaugeIntError raised by fn passes through as it is.
+    ``zero_set`` lists the only points where the gauge may evaluate to 0;
+    this is checked on every evaluation.
     """
 
     a: float
     b: float
-    fn: Callable[[float], float]
+    fn: Callable
     zero_set: tuple = ()
-    batch_fn: Optional[Callable] = None
     name: str = "gauge"
     # Carves around interior zero-set points keep this distance from the
     # point; gauges whose evaluator has a resolution floor (sampled fans)
@@ -116,9 +119,10 @@ class Gauge:
         return (self.a, self.b)
 
     def __call__(self, x: float) -> float:
-        v = float(self.fn(x))
-        self._check_value(x, v)
-        return v
+        return float(self._values(np.array([float(x)]))[0])
+
+    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        return self._values(np.asarray(xs, dtype=float))
 
     def _check_value(self, x: float, v: float) -> None:
         # x and v print as plain floats, whether numpy scalars or not
@@ -127,12 +131,13 @@ class Gauge:
         if v == 0.0 and x not in self.zero_set:
             raise InvalidGauge(f"{self.name} vanishes at undeclared point {float(x)!r}")
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self.batch_fn is not None:
-            vs = np.asarray(self.batch_fn(xs), dtype=float)
-        else:
-            vs = np.array([float(self.fn(float(x))) for x in xs])
+    def _raised(self, x) -> InvalidGauge:
+        return InvalidGauge(f"{self.name}({float(x)!r}) raised")
+
+    def _values(self, xs: np.ndarray) -> np.ndarray:
+        # shared by __call__ and eval_many, so that a call on one point is
+        # not also an eval_many call to whoever wraps the public methods
+        vs = _eval_points(self.fn, xs, self._raised)
         if not np.all(np.isfinite(vs)) or np.any(vs < 0.0):
             bad = int(np.argmax(~np.isfinite(vs) | (vs < 0.0)))
             self._check_value(xs[bad], vs[bad])
@@ -146,7 +151,7 @@ class Gauge:
     def uniform(a: float, b: float, h: float) -> "Gauge":
         if not (h > 0.0):
             raise InvalidGauge(f"uniform width {h!r} must be positive")
-        return Gauge(a, b, lambda x: h, (), lambda xs: np.full(np.shape(xs), float(h)),
+        return Gauge(a, b, lambda xs: np.full(np.shape(xs), float(h)),
                      name=f"uniform[h={h!r}]")
 
     @staticmethod
@@ -158,13 +163,10 @@ class Gauge:
         top = float(cap) if cap is not None else (b - a)
         zs = (anchor,) if a <= anchor <= b else ()
 
-        def fn(x: float) -> float:
-            return min(top, rate * abs(x - anchor))
-
-        def batch(xs):
+        def fn(xs):
             return np.minimum(top, rate * np.abs(np.asarray(xs, float) - anchor))
 
-        return Gauge(a, b, fn, zs, batch, name=f"proportional[rate={rate!r}]")
+        return Gauge(a, b, fn, zs, name=f"proportional[rate={rate!r}]")
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +438,7 @@ def _cousin_vector(a, b, gauge, orders, max_depth, max_nodes):
 # carving around gauge zeros
 
 
-def _eval_points(f, P) -> np.ndarray:
+def _eval_points(f, P, fail=None) -> np.ndarray:
     """f at each point of P (the rows of a 2-d P, the entries of a 1-d P).
 
     One batch call f(P) when it returns shape (n,); otherwise, or when the
@@ -444,20 +446,35 @@ def _eval_points(f, P) -> np.ndarray:
     points as coordinates) goes point by point first: there a per-point f
     that indexes p[0], p[1], ... also returns shape (n,) on the batch, with
     the rows mixed, so the batch call is made only if a point call raises.
+    A GaugeIntError from any call propagates at once: it is f's own
+    verdict, not a sign that f wants single points.  Where a point call
+    raises anything else, ``fail(p)``, when given, is raised from it.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim == 2 and P.shape[0] == P.shape[1]:
         try:
             return np.array([float(f(p)) for p in P])
+        except GaugeIntError:
+            raise
         except Exception:
             pass
     try:
         vals = np.asarray(f(P), dtype=float)
         if vals.shape == (P.shape[0],):
             return vals
+    except GaugeIntError:
+        raise
     except Exception:
         pass
-    return np.array([float(f(p)) for p in P])
+    vals = []
+    for p in P:
+        try:
+            vals.append(float(f(p)))
+        except Exception as exc:
+            if fail is None or isinstance(exc, GaugeIntError):
+                raise
+            raise fail(p) from exc
+    return np.array(vals)
 
 
 def _checked_values(batch, one, P, what: str) -> np.ndarray:
@@ -1009,7 +1026,7 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
             exc_delta[y] = _oscillation_width(F, y, (a, b), eps / 2.0 ** (j + 2),
                                               gname)
 
-    def batch(xs):
+    def fn(xs):
         xs = np.asarray(xs, dtype=float)
         out = np.empty(xs.shape, dtype=float)
         rem_mask = np.ones(xs.shape, dtype=bool)
@@ -1084,12 +1101,9 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
         out[idx] = L * np.ldexp(1.0, -hi)
         return out
 
-    def scalar(x):
-        return float(batch(np.array([float(x)]))[0])
-
     zs = tuple(y for y, d in exc_delta.items() if d == 0.0)
     # Carve edges must stay clear of the sampled-fan resolution floor.
-    return Gauge(a, b, scalar, zs, batch, name=gname,
+    return Gauge(a, b, fn, zs, name=gname,
                  min_clearance=L * 2.0 ** -(_RADIUS_FLOOR_EXP - 3))
 
 
@@ -1166,7 +1180,7 @@ def ac_star_probe(F, null_set: Sequence[float], gauge: Gauge, *,
     half_gaps = 0.5 * (ys[1:] - ys[:-1])
     left_room = np.concatenate([[ys[0] - a], half_gaps])
     right_room = np.concatenate([half_gaps, [b - ys[-1]]])
-    dys = np.array([gauge(y) for y in pts], dtype=float)
+    dys = gauge.eval_many(ys)
     anchored = dys > 0.0
     ys, dys = ys[anchored], dys[anchored]
     left_cap = np.minimum(0.5 * dys, left_room[anchored])

@@ -95,19 +95,13 @@ class ArcFunction:
     @classmethod
     def from_ambient(cls, T: Current1D, f: Callable, *,
                      name: str = "arc-fn") -> "ArcFunction":
-        """f on ambient points, pulled back through each arc chart.
-
-        The points come from one chart call, but f is called once per
-        point: an f written for one point that indexes p[0], p[1] would,
-        given the (n, dim) array, read its rows and still return shape (n,)
-        when n == dim, so a batch attempt cannot tell a wrong answer apart.
-        """
+        """f on ambient points, pulled back through each arc chart: the
+        points come from one chart call and f is evaluated on them through
+        ``_eval_points``."""
         fns = {}
         for ci, (curve, _m) in enumerate(T.components):
-            def fn(ss, curve=curve):
-                pts = curve.point_at_many(ss)
-                return np.array([float(f(p)) for p in pts])
-            fns[ci] = fn
+            fns[ci] = lambda ss, curve=curve: _eval_points(
+                f, curve.point_at_many(ss))
         return cls(fns, name=name)
 
     @classmethod
@@ -216,8 +210,7 @@ def uniform_current_schedule(h) -> Schedule:
     """Constant ambient width h, or h(eps)."""
     def build(eps: float) -> AmbientGauge:
         w = float(h(eps)) if callable(h) else float(h)
-        return AmbientGauge(fn=lambda p: w,
-                            batch_fn=lambda P: np.full(P.shape[0], w),
+        return AmbientGauge(fn=lambda P: np.full(np.shape(P)[:-1], w),
                             name=f"uniform[h={w!r}]")
     return Schedule(build)
 

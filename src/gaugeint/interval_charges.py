@@ -22,6 +22,7 @@ from .hk_core import (
     Gauge,
     HKResult,
     _certify,
+    _eval_points,
     _shared_seeds,
     _tau_list,
     as_schedule,
@@ -288,23 +289,16 @@ def positivize_gauge(gauge: Gauge, G: IntervalCharge, tau: float) -> Gauge:
                 f"no containing-interval width at {y!r} meets budget {budget:.3e}")
         widths[float(y)] = r
 
-    def fn(x: float) -> float:
-        w = widths.get(float(x))
-        return w if w is not None else gauge.fn(x)
+    def fn(xs):
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty(xs.shape)
+        off = ~np.isin(xs, list(widths))
+        out[off] = _eval_points(gauge.fn, xs[off], gauge._raised)
+        for y, w in widths.items():
+            out[xs == y] = w
+        return out
 
-    batch = None
-    if gauge.batch_fn is not None:
-        zpts = np.array(sorted(widths), dtype=float)
-        zvals = np.array([widths[p] for p in sorted(widths)], dtype=float)
-
-        def batch(xs):
-            xs = np.asarray(xs, dtype=float)
-            out = np.asarray(gauge.batch_fn(xs), dtype=float).copy()
-            for p, v in zip(zpts, zvals):
-                out[xs == p] = v
-            return out
-
-    return Gauge(a, b, fn, (), batch, name=gauge.name + "+pos")
+    return Gauge(a, b, fn, (), name=gauge.name + "+pos")
 
 
 def full_family_integrate(f, G: IntervalCharge, gauge_schedule,

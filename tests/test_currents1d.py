@@ -275,8 +275,7 @@ def test_derivate_empty_schedule_and_no_pieces(circle16):
 def test_howard_cousin_current_fine_and_full(circle16):
     G = mass_charge()
     tau = 0.01
-    gauge = AmbientGauge(fn=lambda p: 0.05,
-                         batch_fn=lambda P: np.full(P.shape[0], 0.05))
+    gauge = AmbientGauge(fn=lambda p: 0.05)
     fam = howard_cousin_current(circle16, gauge, G, tau)
     assert fam.is_fine(np.full(fam.n, 0.05), exact_diameter=True)
     # fullness: the uncovered remainder carries G-value below tau
@@ -294,8 +293,7 @@ def test_howard_cousin_current_rejects_unknown_zero_order(segment345):
 
 def test_howard_cousin_current_respects_multiplicity(segment345):
     doubled = Current1D([(segment345.components[0][0], 2)])
-    gauge = AmbientGauge(fn=lambda p: 0.7,
-                         batch_fn=lambda P: np.full(P.shape[0], 0.7))
+    gauge = AmbientGauge(fn=lambda p: 0.7)
     fam = howard_cousin_current(doubled, gauge, mass_charge(), 0.01)
     assert set(np.unique(fam.m)) <= {1, 2}
     assert fam.body_mass() >= doubled.mass() - 0.01
@@ -492,7 +490,9 @@ def test_arc_function_from_ambient_matches_point_at():
     # one point at a time only: on an (n, 2) array it sums rows, and still
     # returns shape (n,) when n == 2
     rows = lambda p: p[0] ** 2 + p[1] ** 2
-    for f in (vector, scalar, rows):
+    # likewise: on two points it pairs the x row with the y row
+    angle = lambda p: np.arctan2(p[1], p[0])
+    for f in (vector, scalar, rows, angle):
         F = ArcFunction.from_ambient(T, f)
         for ci, (curve, _m) in enumerate(T.components):
             ss = np.concatenate([curve.cum, [0.123, 0.5 * curve.length]])

@@ -19,6 +19,7 @@ from gaugeint import (
     UndefinedTag,
     ac_star_probe,
     as_schedule,
+    charge_from_primitive,
     cousin_partition,
     ftc_schedule,
     gallery,
@@ -28,6 +29,7 @@ from gaugeint import (
     howard_cousin_family,
     mass_charge,
     pointwise_lip,
+    positivize_gauge,
     proportional_schedule,
     riemann_sum,
     saks_henstock_audit,
@@ -80,6 +82,61 @@ def test_gauge_eval_many_messages_print_plain_floats():
         Gauge(0.0, 1.0, lambda x: abs(x - 0.5)).eval_many(np.array([0.5]))
 
 
+def test_raising_gauge_fn_is_invalid_gauge_naming_the_point():
+    g = Gauge(0.0, 1.0, lambda x: 1 / 0, name="bad")
+    for call, x in ((lambda: g.eval_many(np.array([0.25, 0.5])), "0.25"),
+                    (lambda: g(np.float64(0.5)), "0.5")):
+        with pytest.raises(InvalidGauge, match=rf"^bad\({x}\) raised$") as info:
+            call()
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+
+def test_gauge_int_error_from_gauge_fn_passes_through():
+    calls = []
+
+    def fn(xs):
+        calls.append(np.shape(xs))
+        raise SearchFail("no radius here")
+
+    g = Gauge(0.0, 1.0, fn, name="searching")
+    with pytest.raises(SearchFail, match="^no radius here$"):
+        g.eval_many(np.array([0.25, 0.5]))
+    with pytest.raises(SearchFail, match="^no radius here$"):
+        g(0.5)
+    # the array calls only: no retry point by point
+    assert calls == [(2,), (1,)]
+
+
+def _built_gauges():
+    """Every kind of gauge the package builds, with points to read it at."""
+    sq = gallery.square_sine_pair()
+    prop = Gauge.proportional(0.0, 1.0, 0.5, 0.3)
+    circle = gallery.unit_circle(16).components[0][0]
+    tc = gallery.two_curves()
+    hump_curve = tc["gamma"].components[0][0]
+    dirichlet = gallery.dirichlet(5)["schedule"].gauge(1e-3)
+    xs = np.linspace(0.0, 1.0, 37)
+    return [
+        (Gauge.uniform(0.0, 1.0, 0.1), xs),
+        (prop, xs),
+        (ftc_gauge(sq["F"], sq["Fprime"], [], 1e-2, (0.0, 1.0)), xs[1:-1]),
+        (positivize_gauge(prop, charge_from_primitive(lambda x: x * x,
+                                                      (0.0, 1.0)), 1e-2), xs),
+        (uniform_current_schedule(0.05).gauge(0.1).pullback(circle, 1e-9),
+         np.linspace(0.0, circle.length, 29)),
+        (tc["hump_gauge"]()(0, hump_curve),
+         np.linspace(0.0, hump_curve.length, 29)),
+        (dirichlet, np.concatenate([xs, dirichlet.zero_set])),
+    ]
+
+
+def test_every_built_gauge_gives_one_value_per_point_either_way():
+    # one callable: a batch read and point-by-point reads agree bit for bit
+    for g, xs in _built_gauges():
+        assert g.eval_many(xs).tobytes() == \
+            np.array([g(x) for x in xs]).tobytes(), g.name
+
+
 # ---------------------------------------------------------------------------
 # Cousin partitions
 
@@ -94,22 +151,26 @@ def test_cousin_partition_is_fine_partition():
 
 
 def _width_gauges(h):
-    """One constant width, with a batch evaluator and without one."""
+    """One constant width, in array form and as a scalar-only function."""
     return (Gauge.uniform(0.0, 1.0, h),
             Gauge(0.0, 1.0, lambda x: h, name="uniform-scalar"))
 
 
 def test_cousin_partition_deterministic():
-    # both gauges run the one bisection engine: batch_fn only saves time
-    batch_g, _ = _width_gauges(0.013)
+    # a scalar-only fn (min raises on arrays, so each point is its own
+    # call) and its array twin build the same family, byte for byte
+    twins = [_width_gauges(0.013),
+             (Gauge(0.0, 1.0, lambda x: min(0.05, 0.002 + x * x)),
+              Gauge(0.0, 1.0, lambda xs: np.minimum(0.05, 0.002 + xs * xs)))]
     for tag_order in ("left", "right"):
-        ref = cousin_partition((0.0, 1.0), batch_g, tag_order=tag_order)
-        for g in _width_gauges(0.013):
-            for _run in range(2):
-                p = cousin_partition((0.0, 1.0), g, tag_order=tag_order)
-                assert np.array_equal(p.lefts, ref.lefts)
-                assert np.array_equal(p.rights, ref.rights)
-                assert np.array_equal(p.tags, ref.tags)
+        for pair in twins:
+            ref = cousin_partition((0.0, 1.0), pair[1], tag_order=tag_order)
+            for g in pair:
+                for _run in range(2):
+                    p = cousin_partition((0.0, 1.0), g, tag_order=tag_order)
+                    for attr in ("lefts", "rights", "tags"):
+                        assert getattr(p, attr).tobytes() == \
+                            getattr(ref, attr).tobytes()
 
 
 def test_cousin_partition_matches_recursion_each_point_once():
@@ -134,7 +195,7 @@ def test_cousin_partition_matches_recursion_each_point_once():
             seen.extend(np.asarray(xs, dtype=float).tolist())
             return width(np.asarray(xs, dtype=float))
 
-        g = Gauge(0.0, 1.0, width, batch_fn=counted)
+        g = Gauge(0.0, 1.0, counted)
         p = cousin_partition((0.0, 1.0), g, tag_order=tag_order)
         got = sorted(zip(p.lefts.tolist(), p.rights.tolist(), p.tags.tolist()))
         evaluated = set()
@@ -195,7 +256,7 @@ _SEEDS = (("left", "declared"), ("right", "reversed"))
 
 def _counted_gauge(zeros=()):
     """Gauge on [0, 1] vanishing at ``zeros``, recording every point its
-    batch evaluator (the one bisection uses) is asked for."""
+    array-form fn is asked for."""
     seen = []
 
     def width(xs):
@@ -209,8 +270,7 @@ def _counted_gauge(zeros=()):
         seen.extend(np.asarray(xs, dtype=float).tolist())
         return width(xs)
 
-    return Gauge(0.0, 1.0, lambda x: float(width(x)), tuple(zeros), batch,
-                 name="counted"), seen
+    return Gauge(0.0, 1.0, batch, tuple(zeros), name="counted"), seen
 
 
 def _assert_same_construction(got, want):

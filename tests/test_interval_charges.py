@@ -127,8 +127,7 @@ def test_full_family_seeds_share_one_bisection(monkeypatch):
         seen.extend(np.asarray(xs, dtype=float).tolist())
         return width(xs)
 
-    gauge = Gauge(0.0, 1.0, lambda x: float(width(x)), (0.4,), batch,
-                  name="counted")
+    gauge = Gauge(0.0, 1.0, batch, (0.4,), name="counted")
     control = PrimitiveControl(lambda x: x ** 3)
     taus = [1e-2, 1e-3]
     res = full_family_integrate(lambda x: 3.0 * x * x, control, gauge, 0.1,
