@@ -73,11 +73,8 @@ __all__ = [
 # last dyadic radius above 1e-12 times the host length.
 _RADIUS_FLOOR_EXP = 39
 
-# Offsets used by sampled inequality checks: 16 magnitudes, both signs.
-_FAN = np.array([2.0 ** -i for i in range(16)] + [-(2.0 ** -i) for i in range(16)])
-# The fan split for ftc_gauge's two-stage check: x +- r, then the rest.
-_FAN_PAIR = _FAN[[0, 16]]
-_FAN_REST = np.delete(_FAN, [0, 16])
+# ftc_gauge's fan of radius r: the offsets +- r * 2**-i for i below this.
+_FAN_MAGNITUDES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +279,10 @@ def _shared_seeds():
     Inside it a left-first ``cousin_partition`` also works out the
     right-first tags on its mesh and leaves them in the store, and a
     right-first call on the same gauge object, segment and budgets takes
-    them instead of bisecting again.  Nothing outlives the block.
+    them instead of bisecting again.  The store also keeps each carve
+    ``_carve_intervals`` makes, so a seed asking for the same carve around
+    a zero point (every host with one zero) takes it instead of searching
+    again.  Nothing outlives the block.
     """
     token = _SEED_STORE.set({})
     try:
@@ -310,7 +310,8 @@ def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
     would have built.  The store only assumes that, within the one call,
     the gauge gives a point the same value whatever batch it comes in; it
     carries nothing from one call to the next, and a segment the seeds
-    carve differently is bisected by each seed on its own.  Outside a
+    carve differently is bisected by each seed on its own.  The same store
+    holds the carves (see ``howard_cousin_family``).  Outside a
     certification call every call bisects alone and evaluates only the
     points its own order needs.
     """
@@ -650,7 +651,8 @@ def _carve_intervals(host, zero_points, control, budgets, *, weight_fn=None,
     halve until the best achievable |control| value fits the budget, so easy
     charges get small carves and oscillating charges get wide carves anchored
     at near-zeros of the charge.  ContinuityBudgetFail if the ladder is
-    exhausted.
+    exhausted.  Inside a seed store (see ``_shared_seeds``) a call takes
+    the carve an earlier call made with the same inputs.
     """
     a, b = host
     pts = [float(y) for y in zero_points]
@@ -662,6 +664,7 @@ def _carve_intervals(host, zero_points, control, budgets, *, weight_fn=None,
         hi = b if rank == len(pts) - 1 else 0.5 * (y + pts[order_sorted[rank + 1]])
         windows[i] = (lo, hi)
 
+    store = _SEED_STORE.get()
     carves = []
     for j, y in enumerate(pts):
         budget = budgets[j]
@@ -675,6 +678,13 @@ def _carve_intervals(host, zero_points, control, budgets, *, weight_fn=None,
             fy = float(_integrand_values(weight_fn, [y])[0])
             if fy != 0.0:
                 wcap = weight_budgets[j] / abs(fy)
+        # everything the ladder reads; the entry holds the control, so its
+        # id is not reused while the key lives
+        key = ("carve", id(control), a, b, y, lo, hi, budget, wcap, clear,
+               ladder_steps)
+        if store is not None and key in store:
+            carves.append(store[key][1])
+            continue
         found = None
         # deep dyadic weight budgets can demand very narrow carves; the
         # floor only guards against float-degenerate pairs at the point
@@ -693,6 +703,8 @@ def _carve_intervals(host, zero_points, control, budgets, *, weight_fn=None,
         if found is None:
             raise ContinuityBudgetFail(
                 f"no interval around {y!r} meets charge budget {budget:.3e}")
+        if store is not None:
+            store[key] = (control, found)
         carves.append(found)
     carves.sort()
     for (c1, d1, _), (c2, _d2, _) in zip(carves, carves[1:]):
@@ -731,6 +743,12 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
     kept in a Riemann sum); Cousin bisection covers the rest, where the
     gauge is positive.  The remainder is exactly the union of carves and its
     control value is returned after being checked against tau.
+
+    Inside a certification call the seed store also holds the carves: a
+    seed asking for a carve with the same control, window and budgets as
+    one already made takes it, bit for bit.  With one zero point the seeds'
+    budgets agree, so the second seed searches no carve; with several, the
+    reversed budget order gives each seed carves of its own.
     """
     if zero_order not in _ZERO_ORDERS:
         raise ValueError(f"zero order must be one of {_ZERO_ORDERS}")
@@ -1004,11 +1022,17 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
     SearchFail, naming the gauge, when no admissible radius exists above the
     floor or no width tames the oscillation at an exceptional point.
 
-    Each batch evaluates F(x) and F'(x) once per point.  Each radius probe
-    checks the pair x +- r first and evaluates the other 30 offsets only for
-    points that pass there; the verdict is the same as checking all 32 at
-    once.  F and F' must therefore be elementwise on arrays of any shape,
-    and an F that would raise only at skipped offsets no longer raises.
+    Each batch evaluates F(x) and F'(x) once per point.  The fan of the
+    probe at exponent k is the points x +- L 2**-m for m = k ... k+15 (L the
+    host length); whether a point passes does not depend on the probe that
+    asks.  The gallop's probes check all 32 offsets.  Once it has bracketed
+    the radius, the bracket's upper end hi has passed at every m in
+    [hi, hi+15], so a bisection probe at mid checks only m in [mid, hi-1].
+    Each probe checks the pair x +- r first and evaluates its other offsets
+    only for points that pass there.  Every verdict is the same as checking
+    all 32 offsets at once.  F and F' must therefore be elementwise on
+    arrays of any shape, and an F that would raise only at skipped offsets
+    no longer raises.  The gauge takes a float or an array of any shape.
     """
     a, b = float(host[0]), float(host[1])
     L = b - a
@@ -1028,45 +1052,62 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
 
     def fn(xs):
         xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape, dtype=float)
-        rem_mask = np.ones(xs.shape, dtype=bool)
+        flat = xs.ravel()
+        out = np.empty(flat.shape, dtype=float)
+        rem_mask = np.ones(flat.shape, dtype=bool)
         for y, dval in exc_delta.items():
-            m = xs == y
+            m = flat == y
             out[m] = dval
             rem_mask &= ~m
         idx = np.nonzero(rem_mask)[0]
         if idx.size == 0:
-            return out
-        x = xs[idx]
+            return out.reshape(xs.shape)
+        x = flat[idx]
         n = x.shape[0]
         Fx = np.asarray(F(x), dtype=float)
         Fpx = np.asarray(Fprime(x), dtype=float)
 
-        def fan_ok(rows, r, offsets):
-            # the sampled inequality at x[rows] for each of the offsets
-            xr, Fxr = x[rows][:, None], Fx[rows][:, None]
-            ys = xr + r[:, None] * offsets[None, :]
-            np.clip(ys, a, b, out=ys)
-            dy = ys - xr
-            Fy = np.asarray(F(ys), dtype=float)
-            lin = Fpx[rows][:, None] * dy
-            rem = np.abs(Fy - Fxr - lin)
-            # Remainders at rounding-noise level are uninformative: in exact
-            # arithmetic they are far below the bound whenever the bound
-            # itself is below float resolution of F.  Without this,
-            # admissibility at tiny radii is decided by cancellation noise.
-            noise = 64.0 * np.finfo(float).eps * (
-                np.abs(Fxr) + np.abs(Fy) + np.abs(lin))
-            ok = (rem < coeff * np.abs(dy)) | (rem <= noise) | (dy == 0.0)
-            return np.all(ok, axis=1)
+        def fan_ok(rows, k0, k1):
+            # the sampled inequality at x[rows] +- L * 2**-m for every m in
+            # [k0, k1) of the row, one F call per range length; a row with
+            # an empty range passes.  bincount finds the lengths, where
+            # np.unique would import numpy.ma, about 1 MB
+            ok = np.ones(rows.shape, dtype=bool)
+            span = k1 - k0
+            for s in np.flatnonzero(np.bincount(span)[1:]) + 1:
+                g = np.nonzero(span == s)[0]
+                at = rows[g]
+                # L * 2**-m is exact, so each point is the one every probe's
+                # fan reaches at that magnitude and its verdict is the same
+                # for all
+                ys = L * np.ldexp(1.0, -(k0[g][:, None] + np.arange(s)))
+                xr, Fxr = x[at][:, None], Fx[at][:, None]
+                ys = xr + np.concatenate([ys, -ys], axis=1)
+                np.clip(ys, a, b, out=ys)
+                dy = ys - xr
+                Fy = np.asarray(F(ys), dtype=float)
+                lin = Fpx[at][:, None] * dy
+                rem = np.abs(Fy - Fxr - lin)
+                # Remainders at rounding-noise level are uninformative: in
+                # exact arithmetic they are far below the bound whenever the
+                # bound itself is below float resolution of F.  Without
+                # this, admissibility at tiny radii is decided by
+                # cancellation noise.
+                noise = 64.0 * np.finfo(float).eps * (
+                    np.abs(Fxr) + np.abs(Fy) + np.abs(lin))
+                good = (rem < coeff * np.abs(dy)) | (rem <= noise) | (dy == 0.0)
+                ok[g] = np.all(good, axis=1)
+            return ok
 
-        def admissible(rows, ks):
-            # Nearly every rejected probe already fails at x +- r, so the
-            # other offsets are evaluated only for rows that pass there.
-            r = L * np.ldexp(1.0, -ks)
-            ok = fan_ok(rows, r, _FAN_PAIR)
+        def admissible(rows, ks, tops):
+            # Whether the fan of radius L * 2**-k passes at x[rows], checking
+            # only the magnitudes m in [k, top): the caller has verified
+            # the rest.  Nearly every rejected probe already fails at
+            # x +- r, so the other offsets are evaluated only for rows that
+            # pass there.
+            ok = fan_ok(rows, ks, ks + 1)
             if ok.any():
-                ok[ok] = fan_ok(rows[ok], r[ok], _FAN_REST)
+                ok[ok] = fan_ok(rows[ok], ks[ok] + 1, tops[ok])
             return ok
 
         # Gallop down (radius halving fast) to the first admissible exponent,
@@ -1080,7 +1121,8 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
             if not unresolved.any():
                 break
             sel = np.nonzero(unresolved)[0]
-            ok = admissible(sel, np.full(sel.shape, k, dtype=np.int64))
+            ks = np.full(sel.shape, k, dtype=np.int64)
+            ok = admissible(sel, ks, ks + _FAN_MAGNITUDES)
             hit = sel[ok]
             hi[hit] = k
             lo[hit] = prev[hit]
@@ -1090,16 +1132,18 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
             bad = float(x[unresolved][0])
             raise SearchFail(
                 f"{gname}: no admissible radius above the floor at x = {bad!r}")
+        # hi's fan covers the magnitudes [hi, hi + 16), which contain those
+        # of mid's fan from hi up, so a probe at mid checks only [mid, hi)
         while True:
             active = (hi - lo) > 1
             if not active.any():
                 break
             mid = (lo + hi) // 2
-            ok = admissible(np.nonzero(active)[0], mid[active])
+            ok = admissible(np.nonzero(active)[0], mid[active], hi[active])
             hi[active] = np.where(ok, mid[active], hi[active])
             lo[active] = np.where(ok, lo[active], mid[active])
         out[idx] = L * np.ldexp(1.0, -hi)
-        return out
+        return out.reshape(xs.shape)
 
     zs = tuple(y for y, d in exc_delta.items() if d == 0.0)
     # Carve edges must stay clear of the sampled-fan resolution floor.

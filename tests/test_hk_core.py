@@ -280,31 +280,54 @@ def _assert_same_construction(got, want):
     assert got.remainder_value == want.remainder_value
 
 
+class _CountedControl(PrimitiveControl):
+    """PrimitiveControl counting the intervals it is evaluated on."""
+
+    def __init__(self, F):
+        super().__init__(F)
+        self.evals = 0
+
+    def eval_one(self, c, d):
+        self.evals += 1
+        return super().eval_one(c, d)
+
+    def eval_many(self, cs, ds):
+        self.evals += len(cs)
+        return super().eval_many(cs, ds)
+
+
 def _certify_against_lone_builds(zeros):
-    """hk_integrate at eps 0.1 next to two lone builds of its seeds."""
+    """hk_integrate at eps 0.1 next to two lone builds of its seeds.
+
+    Returns the lone constructions, the gauge points the certified call and
+    the lone builds evaluated, and the control evaluations of the certified
+    call and of each lone build."""
     eps = 0.1
     f = lambda x: 3.0 * x * x
     gauge, seen = _counted_gauge(zeros)
-    control = PrimitiveControl(lambda x: x ** 3)
+    control = _CountedControl(lambda x: x ** 3)
     res = hk_integrate(f, as_schedule(gauge, control=control), eps,
                        vectorized=True, keep_families=True)
     n_certify = len(seen)
-    lone = [howard_cousin_family(gauge.host, gauge, control, eps / 4.0,
-                                 tag_order=t, zero_order=z,
-                                 f_weight=f if zeros else None,
-                                 eps_weight=eps / 2.0)
-            for t, z in _SEEDS]
+    evals = [control.evals]
+    lone = []
+    for t, z in _SEEDS:
+        lone.append(howard_cousin_family(gauge.host, gauge, control, eps / 4.0,
+                                         tag_order=t, zero_order=z,
+                                         f_weight=f if zeros else None,
+                                         eps_weight=eps / 2.0))
+        evals.append(control.evals - sum(evals))
     for got, want in zip(res.certificate.families, lone):
         _assert_same_construction(got, want)
     cert = res.certificate
     assert (cert.sum1, cert.sum2) == tuple(
         riemann_sum(f, fc.partition) for fc in lone)
-    return lone, seen[:n_certify], seen[n_certify:]
+    return lone, seen[:n_certify], seen[n_certify:], evals
 
 
 @pytest.mark.parametrize("zeros", [(), (0.4,)])
 def test_hk_integrate_seeds_share_one_bisection(zeros):
-    lone, certified, lone_seen = _certify_against_lone_builds(zeros)
+    lone, certified, lone_seen, _evals = _certify_against_lone_builds(zeros)
     # no point is evaluated twice across both seeds ...
     assert len(certified) == len(set(certified))
     # ... where the two lone builds evaluate nearly every point twice
@@ -312,26 +335,45 @@ def test_hk_integrate_seeds_share_one_bisection(zeros):
     assert len(lone_seen) > 1.9 * len(certified)
 
 
+def test_hk_integrate_seeds_share_one_carve():
+    # one zero: both seeds carve with the same budgets, so the second seed
+    # takes the first one's carve and searches none of its own; it only
+    # evaluates its carve once more for its remainder
+    lone, _certified, _lone_seen, evals = _certify_against_lone_builds((0.4,))
+    certified, lone_left, lone_right = evals
+    assert lone_left == lone_right > 100
+    assert certified == lone_left + lone[1].carves.n
+
+
 def test_hk_integrate_seeds_on_different_segments_bisect_alone():
     # reversed carve budgets around two zeros give the seeds different
-    # segments; each is bisected on its own and certifies to the same bits
-    lone, _certified, _lone_seen = _certify_against_lone_builds((0.3, 0.7))
+    # carves and segments; each is searched and bisected on its own and
+    # certifies to the same bits
+    lone, _certified, _lone_seen, evals = _certify_against_lone_builds(
+        (0.3, 0.7))
     assert lone[0].carves.lefts.tolist() != lone[1].carves.lefts.tolist()
+    certified, lone_left, lone_right = evals
+    assert certified == lone_left + lone_right
 
 
 def test_seed_store_does_not_outlive_the_call():
-    for eps, fails in ((0.1, False), (1e-12, True)):
-        gauge, _seen = _counted_gauge()
-        ref = weakref.ref(gauge)
+    # with a zero, the store also holds a carve and, in it, the control
+    for zeros, eps, fails in (((), 0.1, False), ((), 1e-12, True),
+                              ((0.4,), 0.1, False), ((0.4,), 1e-12, True)):
+        gauge, _seen = _counted_gauge(zeros)
+        control = PrimitiveControl(lambda x: x ** 3)
+        refs = [weakref.ref(gauge), weakref.ref(control)]
         try:
-            hk_integrate(lambda x: x * x, gauge, eps, vectorized=True)
+            hk_integrate(lambda x: 3.0 * x * x,
+                         as_schedule(gauge, control=control), eps,
+                         vectorized=True)
             raised = False
         except CauchyFail:
             raised = True
         assert raised == fails
-        del gauge
+        del gauge, control
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -713,14 +755,19 @@ def _counted(fn, calls):
     return wrapped
 
 
+def _seeded_points():
+    """Seeded points of [0, 1], the square-sine host, and six near its ends."""
+    return np.concatenate([
+        np.random.default_rng(20).uniform(0.0, 1.0, 300),
+        [1e-9, 3e-10, 7e-12, 1.0 - 1e-9, 1.0 - 4e-10, 1.0 - 1e-12]])
+
+
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
 def test_ftc_gauge_two_stage_fan_matches_one_shot_reference(square_sine_pair,
                                                             eps):
     pair = square_sine_pair
     F, Fp, host = pair["F"], pair["Fprime"], pair["host"]
-    xs = np.concatenate([
-        np.random.default_rng(20).uniform(host[0], host[1], 300),
-        [1e-9, 3e-10, 7e-12, 1.0 - 1e-9, 1.0 - 4e-10, 1.0 - 1e-12]])
+    xs = _seeded_points()
     ref = _reference_ftc_widths(F, Fp, eps, host, xs)
     fails = np.isnan(ref)
     fp_calls = []
@@ -733,6 +780,84 @@ def test_ftc_gauge_two_stage_fan_matches_one_shot_reference(square_sine_pair,
     with pytest.raises(SearchFail, match=re.escape(
             f"no admissible radius above the floor at x = {first!r}")):
         gauge.eval_many(xs)
+
+
+def test_ftc_gauge_bisection_skips_the_offsets_its_bracket_verified(
+        square_sine_pair):
+    pair = square_sine_pair
+    F, Fp, host = pair["F"], pair["Fprime"], pair["host"]
+    xs = _seeded_points()
+    xs = xs[~np.isnan(_reference_ftc_widths(F, Fp, 1e-3, host, xs))]
+    calls = []
+    gauge = ftc_gauge(_counted(F, calls), Fp, [0.0], 1e-3, host)
+    calls.clear()
+    gauge.eval_many(xs)
+    assert calls[0] == xs.shape
+    fan_points = sum(math.prod(shape) for shape in calls[1:])
+    # 30,280 fan points when every probe checked all 32 offsets; 16,582
+    # once a bisection probe checks only the magnitudes below its bracket's
+    # upper end
+    assert fan_points <= 0.6 * 30_280
+
+
+def _x32_sin(x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    nz = x != 0.0
+    out[nz] = x[nz] ** 1.5 * np.sin(1.0 / x[nz])
+    return out
+
+
+def _x32_sin_prime(x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    nz = x != 0.0
+    r = np.sqrt(x[nz])
+    out[nz] = 1.5 * r * np.sin(1.0 / x[nz]) - np.cos(1.0 / x[nz]) / r
+    return out
+
+
+@pytest.mark.parametrize("F, Fp, host, eps", [
+    # a second primitive, x^(3/2) sin(1/x)
+    (_x32_sin, _x32_sin_prime, (0.0, 1.0), 1e-3),
+    # a host off [0, 1], read at both ends, where every fan clips
+    (gallery.square_sine, gallery.square_sine_prime, (-0.3, 0.7), 1e-3),
+    # a host of length L = 2**-20, radii L * 2**-k with k from 10 to 15,
+    # offsets down to L * 2**-31
+    (lambda x: np.sin(2.0 ** 24 * x),
+     lambda x: 2.0 ** 24 * np.cos(2.0 ** 24 * x), (0.5, 0.5 + 2.0 ** -20),
+     1e-2),
+], ids=["x32_sin", "clipped_both_ends", "host_2^-20"])
+def test_ftc_gauge_matches_one_shot_reference_on_other_hosts(F, Fp, host, eps):
+    a, b = host
+    L = b - a
+    xs = np.concatenate([np.random.default_rng(21).uniform(a, b, 300),
+                         [a, b, a + 1e-9 * L, b - 1e-9 * L,
+                          a + 1e-6 * L, b - 1e-6 * L]])
+    ref = _reference_ftc_widths(F, Fp, eps, host, xs)
+    ok = ~np.isnan(ref)
+    assert ok[-6:-4].all() and ok.sum() > 250
+    gauge = ftc_gauge(F, Fp, [], eps, host)
+    assert gauge.eval_many(xs[ok]).tobytes() == ref[ok].tobytes()
+
+
+def test_ftc_gauge_invalid_gauge_comes_from_the_primitive_s_error():
+    # the batch call raises, so each point is read alone, as a 0-d array
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x > 0.5):
+            raise ZeroDivisionError("F undefined past 0.5")
+        return x * x
+
+    gauge = ftc_gauge(F, lambda x: 2.0 * np.asarray(x), [], 1e-2, (0.0, 1.0))
+    with pytest.raises(InvalidGauge, match="^" + re.escape(
+            "ftc[eps=0.01](0.25) raised") + "$") as info:
+        gauge.eval_many([0.25, 0.75])
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    smooth = ftc_gauge(lambda x: x * x, lambda x: 2.0 * x, [], 1e-2,
+                       (0.0, 1.0))
+    assert smooth.fn(np.float64(0.25)).shape == ()
+    assert float(smooth.fn(np.float64(0.25))) == smooth(0.25)
 
 
 def test_ftc_gauge_second_stage_decides_on_a_narrow_bump():
