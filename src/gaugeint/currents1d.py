@@ -32,7 +32,8 @@ from .errors import (
     TraitViolation,
     UndefinedAtAtom,
 )
-from .hk_core import _ZERO_ORDERS, Gauge, _eval_points, howard_cousin_family
+from .hk_core import (_SEED_STORE, _ZERO_ORDERS, Gauge, _eval_points,
+                      howard_cousin_family)
 from .sums import exact_sum
 
 __all__ = [
@@ -928,6 +929,21 @@ class _RowControl:
                             validate=False))
 
 
+def _row_control(G: PieceCharge, T: Current1D, ci: int,
+                 mult: int) -> _RowControl:
+    """The row control of component ci.  Inside a seed store there is one
+    per (G, T, ci, mult), so the two seeds' carves are keyed by the same
+    control and the second seed takes the first one's carves."""
+    store = _SEED_STORE.get()
+    if store is None:
+        return _RowControl(G, T, ci, mult)
+    # the control holds G and T, so their ids are not reused while it lives
+    key = ("row control", id(G), id(T), ci, mult)
+    if key not in store:
+        store[key] = _RowControl(G, T, ci, mult)
+    return store[key]
+
+
 def howard_cousin_current(T: Current1D, gauge, G: PieceCharge, tau: float, *,
                           tag_order: str = "left",
                           zero_order: str = "declared",
@@ -942,6 +958,8 @@ def howard_cousin_current(T: Current1D, gauge, G: PieceCharge, tau: float, *,
     AmbientGauge or a callable (component index, curve) -> interval Gauge.
 
     The family records the achieved remainder value and the kept count.
+    Inside a seed store (``hkp_integrate`` opens one) a component's carves
+    are searched once for both seeds.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau {tau!r} must be positive")
@@ -975,7 +993,7 @@ def howard_cousin_current(T: Current1D, gauge, G: PieceCharge, tau: float, *,
             g_arc = gauge.pullback(curve, snap)
         else:
             g_arc = gauge(ci, curve)
-        control = _RowControl(G, T, ci, mult)
+        control = _row_control(G, T, ci, mult)
         fc = howard_cousin_family((0.0, curve.length), g_arc, control, budget,
                                   tag_order=tag_order, zero_order=zero_order,
                                   max_depth=max_depth, max_nodes=max_nodes)

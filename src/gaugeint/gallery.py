@@ -497,8 +497,9 @@ def dirichlet(q_max: int = 7) -> dict:
 
         return Gauge(0.0, 1.0, width, tuple(points), name=f"dirichlet[{q_max}]")
 
-    schedule = as_schedule(build, control=PrimitiveControl(lambda x: 0.0,
-                                                           name="null"))
+    # one value per point, so a carve grid is one call
+    null = PrimitiveControl(lambda x: np.zeros(np.shape(x)), name="null")
+    schedule = as_schedule(build, control=null)
     return {
         "fn": fn,
         "points": points,

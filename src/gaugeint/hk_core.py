@@ -10,8 +10,10 @@ built from independent deterministic seeds, and one kernel (``_certify``)
 runs that two-seed test for intervals, full families and chains alike.
 
 Numerical conventions (fixed so runs are reproducible):
-  * every accumulation is a correctly rounded sum (``math.fsum``), so
-    its total does not depend on the order of the terms,
+  * every accumulation is a correctly rounded sum (``sums``), so its
+    total does not depend on the order of the terms; a large float64
+    array is summed exactly per binary exponent and the bucket totals
+    are fsummed, which is ``math.fsum``'s value bit for bit,
   * Riemann sums, audits and probes evaluate integrands and primitives
     through one helper, ``_eval_points``: one call on the array of points
     where the function accepts arrays, else one call per point,
@@ -352,6 +354,14 @@ def _fill(gauge, vals, xs, mask) -> None:
         vals[mask] = gauge.eval_many(xs[mask])
 
 
+def _interleave(first, second) -> np.ndarray:
+    """``first[0], second[0], first[1], second[1], ...`` in one array."""
+    out = np.empty(2 * first.shape[0])
+    out[0::2] = first
+    out[1::2] = second
+    return out
+
+
 def _cousin_vector(a, b, gauge, orders, max_depth, max_nodes):
     """Bisection, one numpy pass per depth, for each tag order in ``orders``.
 
@@ -424,11 +434,10 @@ def _cousin_vector(a, b, gauge, orders, max_depth, max_nodes):
                 raise DepthExceeded(f"{gauge.name}: float resolution exhausted "
                                     "during bisection")
             # children side by side: C[2i], C[2i+1] are the halves of Cr[i]
-            C = np.column_stack([Cr, Mr]).ravel()
-            D = np.column_stack([Mr, Dr]).ravel()
             gMr = gM[open_mask]
-            gC = np.column_stack([gC[open_mask], gMr]).ravel()
-            gD = np.column_stack([gMr, gD[open_mask]]).ravel()
+            C, D = _interleave(Cr, Mr), _interleave(Mr, Dr)
+            gC = _interleave(gC[open_mask], gMr)
+            gD = _interleave(gMr, gD[open_mask])
         else:
             C = np.empty(0)
             D = np.empty(0)
@@ -1246,7 +1255,7 @@ def ac_star_probe(F, null_set: Sequence[float], gauge: Gauge, *,
             incr = np.asarray(F.eval_many(cs, ds), dtype=float)
         else:
             incr = _eval_points(F, ds) - _eval_points(F, cs)
-        total = compensated_sum(np.abs(incr).tolist())
+        total = compensated_sum(np.abs(incr))
         if total > worst:
             worst = total
     return worst

@@ -37,6 +37,7 @@ from gaugeint import (
     theta_charge,
     uniform_current_schedule,
 )
+import gaugeint.currents1d as cur_module
 import gaugeint.hkp_integral as hkp_module
 from gaugeint.hkp_integral import REPORT_COLUMNS, REPORT_PREAMBLE, _certify_each
 
@@ -442,6 +443,48 @@ def test_hkp_integrate_seeds_share_one_bisection(circle1024, monkeypatch,
     # where the lone builds see nearly every point twice
     assert set(seen) == set(certified)
     assert len(seen) > 1.9 * len(certified)
+
+
+def _count_row_control_evals(monkeypatch):
+    """Counter of the arc intervals every row control is evaluated on."""
+    evals = Counter()
+    eval_one, eval_many = cur_module._RowControl.eval_one, \
+        cur_module._RowControl.eval_many
+
+    def one(self, c, d):
+        evals["rows"] += 1
+        return eval_one(self, c, d)
+
+    def many(self, cs, ds):
+        evals["rows"] += len(cs)
+        return eval_many(self, cs, ds)
+
+    monkeypatch.setattr(cur_module._RowControl, "eval_one", one)
+    monkeypatch.setattr(cur_module._RowControl, "eval_many", many)
+    return evals
+
+
+def test_hkp_integrate_seeds_share_one_carve(circle1024, monkeypatch):
+    # one gauge zero: both seeds carve it with the same budget, so the
+    # second seed takes the first one's carve and searches none of its own
+    eps = 0.1
+    gauge, _seen = _recorded_ambient((0.0, 1.0))
+    G = mass_charge()
+    evals = _count_row_control_evals(monkeypatch)
+    res = hkp_integrate(x1, circle1024, G, gauge, eps)
+    certified = evals["rows"]
+    lone = []
+    for t, z in _SEEDS:
+        evals.clear()
+        lone.append((howard_cousin_current(circle1024, gauge, G, eps / 4.0,
+                                           tag_order=t, zero_order=z),
+                     evals["rows"]))
+    (fam_l, lone_left), (fam_r, lone_right) = lone
+    assert lone_left == lone_right > 100
+    assert certified == lone_left
+    cert = res.certificate
+    assert (cert.sum1.hex(), cert.sum2.hex()) == (
+        hkp_riemann_sum(x1, fam_l).hex(), hkp_riemann_sum(x1, fam_r).hex())
 
 
 def _foot_gauges(refs):
