@@ -89,8 +89,6 @@ from .hkp_integral import (
     ArcFunction,
     FtcReport,
     arc_gauge_schedule,
-    as_current_schedule,
-    format_report_csv,
     ftc_verify,
     hkp_integrate,
     hkp_riemann_sum,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (CauchyFail, ContinuityBudgetFail, DepthExceeded,
                      GaugeIntError, SearchFail, TailBudgetFail)
 from .hk_core import (_SEED_ORDERS, PrimitiveControl, _shared_seeds,
-                      hk_integrate, howard_cousin_family, as_schedule,
+                      _tau_list, hk_integrate, howard_cousin_family,
                       ftc_schedule, saks_henstock_audit, uniform_schedule,
                       proportional_schedule)
 from .interval_charges import full_family_integrate
@@ -87,14 +87,12 @@ def _write_svg(path: Path, T: Current1D, *, width: int = 640) -> None:
 # built-in integrands
 
 def _fn_x(x):
-    xs = np.asarray(x, dtype=float)
-    return float(xs) if np.ndim(x) == 0 else xs
+    return np.asarray(x, dtype=float)
 
 
 def _fn_x2(x):
     xs = np.asarray(x, dtype=float)
-    out = xs * xs
-    return float(out) if np.ndim(x) == 0 else out
+    return xs * xs
 
 
 def _prim_x(x):
@@ -128,74 +126,55 @@ def _interval_entry(name: str) -> dict:
 
 
 def _u_x1(p):
-    P = np.asarray(p, dtype=float)
-    return float(P[0]) if P.ndim == 1 else P[:, 0]
+    return np.asarray(p, dtype=float)[..., 0]
 
 
 def _u_x2(p):
-    P = np.asarray(p, dtype=float)
-    return float(P[1]) if P.ndim == 1 else P[:, 1]
+    return np.asarray(p, dtype=float)[..., 1]
 
 
 def _u_one(p):
-    P = np.asarray(p, dtype=float)
-    return 1.0 if P.ndim == 1 else np.ones(P.shape[0])
+    return np.ones(np.shape(p)[:-1])
 
 
 def _u_norm(p):
     P = np.asarray(p, dtype=float)
-    if P.ndim == 1:
-        return float(np.hypot(P[0], P[1]))
-    return np.hypot(P[:, 0], P[:, 1])
+    return np.hypot(P[..., 0], P[..., 1])
 
 
 def _u_x1x2(p):
     P = np.asarray(p, dtype=float)
-    return float(P[0] * P[1]) if P.ndim == 1 else P[:, 0] * P[:, 1]
+    return P[..., 0] * P[..., 1]
 
 
 def _du_x1x2(p):
     P = np.asarray(p, dtype=float)
-    if P.ndim == 1:
-        return np.array([P[1], P[0]])
-    out = np.empty_like(P)
-    out[:, 0] = P[:, 1]
-    out[:, 1] = P[:, 0]
+    out = np.zeros_like(P)
+    out[..., 0], out[..., 1] = P[..., 1], P[..., 0]
     return out
 
 
 def _u_curved(p):
     P = np.asarray(p, dtype=float)
-    if P.ndim == 1:
-        return float(P[0] * P[0] + P[1])
-    return P[:, 0] * P[:, 0] + P[:, 1]
+    return P[..., 0] * P[..., 0] + P[..., 1]
 
 
 def _du_curved(p):
     P = np.asarray(p, dtype=float)
-    if P.ndim == 1:
-        return np.array([2.0 * P[0], 1.0])
-    out = np.empty_like(P)
-    out[:, 0] = 2.0 * P[:, 0]
-    out[:, 1] = 1.0
+    out = np.zeros_like(P)
+    out[..., 0], out[..., 1] = 2.0 * P[..., 0], 1.0
     return out
 
 
 def _du_x1(p):
-    P = np.asarray(p, dtype=float)
-    if P.ndim == 1:
-        return np.array([1.0, 0.0])
-    out = np.zeros_like(P)
-    out[:, 0] = 1.0
+    out = np.zeros(np.shape(p))
+    out[..., 0] = 1.0
     return out
 
 
 def _du_x2(p):
-    P = np.asarray(p, dtype=float)
-    if P.ndim == 1:
-        return np.array([0.0, 1.0])
-    out = np.zeros_like(P)
-    out[:, 1] = 1.0
+    out = np.zeros(np.shape(p))
+    out[..., 1] = 1.0
     return out
 
 
@@ -255,21 +234,29 @@ def _merge_options(args) -> None:
         if getattr(args, key, None) is None:
             setattr(args, key, conf.get(key, fallback))
     args.eps_list = _floats(args.eps, "eps")
-    args.tau_val = float(args.tau) if args.tau else None
-    args.seed = int(args.seed)
+    args.tau_val = _floats(args.tau, "tau", one=True)[0] if args.tau else None
+    try:
+        args.seed = int(args.seed)
+    except ValueError:
+        raise _Usage(f"seed must be an integer, got {args.seed!r}")
     if args.format not in ("csv", "svg"):
         raise _Usage(f"unknown format {args.format!r}")
     args.out = Path(args.out_dir)
     args.out.mkdir(parents=True, exist_ok=True)
 
 
-def _floats(text: str, what: str) -> list:
+def _floats(text: str, what: str, one: bool = False) -> list:
+    """The comma list of finite values > 0 in text; a single value when
+    ``one``.  _Usage on anything else."""
     try:
         vals = [float(s) for s in str(text).split(",") if s.strip()]
     except ValueError:
         raise _Usage(f"cannot parse {what} list {text!r}")
-    if not vals or any(v <= 0.0 for v in vals):
-        raise _Usage(f"{what} values must be positive, got {text!r}")
+    if not vals or not all(math.isfinite(v) and v > 0.0 for v in vals):
+        raise _Usage(f"{what} values must be finite and positive, "
+                     f"got {text!r}")
+    if one and len(vals) > 1:
+        raise _Usage(f"{what} takes one value, got {text!r}")
     return vals
 
 
@@ -386,15 +373,12 @@ def _ftc_case(args):
         F, Fp = pair["F"], pair["Fprime"]
 
         def u(p, F=F):
-            P = np.asarray(p, dtype=float)
-            return float(F(P[0])) if P.ndim == 1 else F(P[:, 0])
+            return F(np.asarray(p, dtype=float)[..., 0])
 
         def Du(p, Fp=Fp):
             P = np.asarray(p, dtype=float)
-            if P.ndim == 1:
-                return np.array([Fp(P[0]), 0.0])
             out = np.zeros_like(P)
-            out[:, 0] = Fp(P[:, 0])
+            out[..., 0] = Fp(P[..., 0])
             return out
 
         T = tc["gamma_plus"]
@@ -458,17 +442,15 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    a, b, entry, sched = _interval_setup(args)
-    sched = as_schedule(sched, control=PrimitiveControl(entry["primitive"]))
+    a, b, _entry, sched = _interval_setup(args)
     eps = args.eps_list[-1]
+    tau = _tau_list(args.tau_val, eps)[0]
     gauge = sched.gauge(eps)
-    control = sched.control
-    tau = args.tau_val if args.tau_val is not None else sched.tau(eps)
     rows = []
     # one seed store: the right seed reuses the left seed's bisection
     with _shared_seeds():
         for seed, (tag_order, zero_order) in _SEED_ORDERS.items():
-            fc = howard_cousin_family((a, b), gauge, control, tau,
+            fc = howard_cousin_family((a, b), gauge, sched.control, tau,
                                       tag_order=tag_order, zero_order=zero_order,
                                       max_nodes=8_000_000)
             part = fc.partition

@@ -944,6 +944,24 @@ def _row_control(G: PieceCharge, T: Current1D, ci: int,
     return store[key]
 
 
+def _arc_gauges(gauge, T: Current1D) -> Callable:
+    """(ci, curve) -> the interval gauge of component ci on [0, length],
+    made once per pair and then kept.  ``gauge`` is an AmbientGauge, pulled
+    back with the snap tolerance 1e-9 of T's diameter, or a callable (ci,
+    curve) -> Gauge.  The seed store knows a gauge by its object, so both
+    seeds of a certification must see the same one."""
+    snap = 1e-9 * T.diameter()
+    arcs: dict = {}
+
+    def arc(ci: int, curve: Curve) -> Gauge:
+        if (ci, curve) not in arcs:
+            arcs[ci, curve] = gauge.pullback(curve, snap) \
+                if isinstance(gauge, AmbientGauge) else gauge(ci, curve)
+        return arcs[ci, curve]
+
+    return arc
+
+
 def howard_cousin_current(T: Current1D, gauge, G: PieceCharge, tau: float, *,
                           tag_order: str = "left",
                           zero_order: str = "declared",
@@ -958,8 +976,8 @@ def howard_cousin_current(T: Current1D, gauge, G: PieceCharge, tau: float, *,
     AmbientGauge or a callable (component index, curve) -> interval Gauge.
 
     The family records the achieved remainder value and the kept count.
-    Inside a seed store (``hkp_integrate`` opens one) a component's carves
-    are searched once for both seeds.
+    Inside a seed store (``_certify`` opens one around the two seeds'
+    builds) a component's carves are searched once for both seeds.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau {tau!r} must be positive")
@@ -980,7 +998,7 @@ def howard_cousin_current(T: Current1D, gauge, G: PieceCharge, tau: float, *,
     if k0 is None:
         raise TailBudgetFail(
             f"no component prefix bounds the tail charge below {tau/2.0!r}")
-    snap = 1e-9 * T.diameter()
+    arc = _arc_gauges(gauge, T)
     budget = tau / (2.0 * k0)
     kept_order = order[:k0]
     if zero_order == "reversed":
@@ -989,12 +1007,9 @@ def howard_cousin_current(T: Current1D, gauge, G: PieceCharge, tau: float, *,
     remainders = [tail_val]
     for ci in kept_order:
         curve, mult = T.components[ci]
-        if isinstance(gauge, AmbientGauge):
-            g_arc = gauge.pullback(curve, snap)
-        else:
-            g_arc = gauge(ci, curve)
         control = _row_control(G, T, ci, mult)
-        fc = howard_cousin_family((0.0, curve.length), g_arc, control, budget,
+        fc = howard_cousin_family((0.0, curve.length), arc(ci, curve),
+                                  control, budget,
                                   tag_order=tag_order, zero_order=zero_order,
                                   max_depth=max_depth, max_nodes=max_nodes)
         fam = fc.family

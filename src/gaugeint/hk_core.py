@@ -6,8 +6,10 @@ positive gauge into a fine tagged partition; the Howard-Cousin builder turns
 a gauge that vanishes on finitely many points into a fine tagged family plus
 a remainder whose charge value is under budget.  Certification never trusts
 a single construction: every integral is the agreement of two partitions
-built from independent deterministic seeds, and one kernel (``_certify``)
-runs that two-seed test for intervals, full families and chains alike.
+built from independent deterministic seeds, and one front end
+(``_certify``) runs that two-seed test for intervals, full families and
+chains alike: it opens the seed stores, builds and sums the constructions,
+and returns the certificate.
 
 Numerical conventions (fixed so runs are reproducible):
   * every accumulation is a correctly rounded sum (``sums``), so its
@@ -269,19 +271,21 @@ _TAG_ORDERS = ("left", "right")
 _ZERO_ORDERS = ("declared", "reversed")
 
 
-# The seed store of the certification call in progress, or None outside
-# one; see ``_shared_seeds``.
+# The seed store open in this context, or None outside one; see
+# ``_shared_seeds``.
 _SEED_STORE: ContextVar = ContextVar("gaugeint_seed_store", default=None)
 
 
 @contextmanager
 def _shared_seeds():
-    """Open a seed store for the duration of one certification call.
+    """Open a seed store for the duration of the block.
 
-    Inside it a left-first ``cousin_partition`` also works out the
-    right-first tags on its mesh and leaves them in the store, and a
-    right-first call on the same gauge object, segment and budgets takes
-    them instead of bisecting again.  The store also keeps each carve
+    ``_certify`` opens one around the two seeds' builds at the smallest
+    tau, and one of its own around each larger tau's left build.  Inside
+    it a left-first ``cousin_partition`` also works out the right-first
+    tags on its mesh and leaves them in the store, and a right-first call
+    on the same gauge object, segment and budgets takes them instead of
+    bisecting again.  The store also keeps each carve
     ``_carve_intervals`` makes, so a seed asking for the same carve around
     a zero point (every host with one zero) takes it instead of searching
     again.  Nothing outlives the block.
@@ -303,19 +307,19 @@ def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
     positive gauge: a declared zero set means no partition can be fine and
     the caller should be using howard_cousin_family instead.
 
-    Inside a certification call (``hk_integrate``, ``full_family_integrate``
-    and the CLI ``partition`` command open a seed store) the two seeds share
-    one bisection pass per segment: which intervals fit does not depend on
-    the candidate order, so the left-first call also picks the right-first
-    tags on the same mesh, and the right-first call on the same gauge
-    object, segment and budgets returns them, bit for bit the family it
-    would have built.  The store only assumes that, within the one call,
-    the gauge gives a point the same value whatever batch it comes in; it
-    carries nothing from one call to the next, and a segment the seeds
-    carve differently is bisected by each seed on its own.  The same store
-    holds the carves (see ``howard_cousin_family``).  Outside a
-    certification call every call bisects alone and evaluates only the
-    points its own order needs.
+    Inside a seed store (``_certify`` opens one around the two seeds'
+    builds, and the CLI ``partition`` command around its own) the two
+    seeds share one bisection pass per segment: which intervals fit does
+    not depend on the candidate order, so the left-first call also picks
+    the right-first tags on the same mesh, and the right-first call on the
+    same gauge object, segment and budgets returns them, bit for bit the
+    family it would have built.  The store only assumes that, within the
+    one call, the gauge gives a point the same value whatever batch it
+    comes in; it carries nothing from one call to the next, and a segment
+    the seeds carve differently is bisected by each seed on its own.  The
+    same store holds the carves (see ``howard_cousin_family``).  Outside a
+    seed store every call bisects alone and evaluates only the points its
+    own order needs.
     """
     if tag_order not in _TAG_ORDERS:
         raise ValueError(f"tag order must be one of {_TAG_ORDERS}")
@@ -753,11 +757,12 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
     gauge is positive.  The remainder is exactly the union of carves and its
     control value is returned after being checked against tau.
 
-    Inside a certification call the seed store also holds the carves: a
-    seed asking for a carve with the same control, window and budgets as
-    one already made takes it, bit for bit.  With one zero point the seeds'
-    budgets agree, so the second seed searches no carve; with several, the
-    reversed budget order gives each seed carves of its own.
+    The seed store ``_certify`` opens around the two seeds' builds also
+    holds the carves: a seed asking for a carve with the same control,
+    window and budgets as one already made takes it, bit for bit.  With
+    one zero point the seeds' budgets agree, so the second seed searches
+    no carve; with several, the reversed budget order gives each seed
+    carves of its own.
     """
     if zero_order not in _ZERO_ORDERS:
         raise ValueError(f"zero order must be one of {_ZERO_ORDERS}")
@@ -851,27 +856,27 @@ class HKResult:
     partial_sums: tuple = ()
 
 
+@dataclass
 class Schedule:
-    """eps -> Gauge, with the control charge used to carve around the
-    gauge's zeros.  The remainder budget is tau(eps) = eps/4."""
+    """eps -> gauge, with the control charge used to carve around the
+    gauge's zeros.  The remainder budget is eps/4 unless a tau schedule is
+    given (see ``_tau_list``)."""
 
-    def __init__(self, gauge_of_eps, control=None):
-        self._gauge_of_eps = gauge_of_eps
-        self.control = control
-
-    def gauge(self, eps: float):
-        return self._gauge_of_eps(eps)
-
-    def tau(self, eps: float) -> float:
-        return eps / 4.0
+    gauge: Callable
+    control: object = None
 
 
-def as_schedule(obj, control=None):
-    """Normalize a Gauge, an eps->Gauge callable, or a schedule object."""
-    if isinstance(obj, Gauge):
-        return Schedule(lambda eps: obj, control)
-    if hasattr(obj, "gauge") and hasattr(obj, "tau"):
+def as_schedule(obj, control=None) -> Schedule:
+    """Normalize a schedule: a Schedule is returned unchanged, a Gauge or
+    an AmbientGauge is a fixed gauge, and any other callable is eps ->
+    gauge.  ``control`` goes with a schedule made here.  TypeError on
+    anything else."""
+    from .currents1d import AmbientGauge  # currents1d imports this module
+
+    if isinstance(obj, Schedule):
         return obj
+    if isinstance(obj, (Gauge, AmbientGauge)):
+        return Schedule(lambda eps: obj, control)
     if callable(obj):
         return Schedule(obj, control)
     raise TypeError(f"cannot interpret {obj!r} as a gauge schedule")
@@ -919,11 +924,14 @@ def ftc_schedule(F, Fprime, exceptional: Sequence[float], host: tuple) -> Schedu
 _SEED_ORDERS = {"left": ("left", "declared"), "right": ("right", "reversed")}
 
 
-def _tau_list(tau_schedule, sched, eps: float) -> list:
-    """Remainder budgets, largest first: the schedule's tau(eps) when
-    tau_schedule is None, else a number, an eps -> tau callable, or a list."""
+def _tau_list(tau_schedule, eps: float) -> list:
+    """Remainder budgets, largest first: eps/4 when tau_schedule is None,
+    else a number, an eps -> tau callable, or a list.  ValueError unless
+    eps > 0."""
+    if not (eps > 0.0):
+        raise ValueError(f"eps {eps!r} must be positive")
     if tau_schedule is None:
-        return [sched.tau(eps)]
+        return [eps / 4.0]
     if callable(tau_schedule):
         return [float(tau_schedule(eps))]
     if np.isscalar(tau_schedule):
@@ -934,23 +942,32 @@ def _tau_list(tau_schedule, sched, eps: float) -> list:
     return taus
 
 
-def _certify(build, total, eps: float, taus: Sequence[float]) -> tuple:
+def _certify(build, total, eps: float, taus: Sequence[float], gauge_name: str,
+             size, keep: bool = False) -> HKResult:
     """Henstock's Cauchy test on two independently seeded constructions.
 
-    ``build(tau, tag_order, zero_order)`` makes one construction and
-    ``total`` gives its Riemann sum.  Seed "left" is built at every tau,
-    largest first, and seed "right" at the smallest; each (tau, sum) is a
-    row.  The gap is the spread of all the sums, and CauchyFail (carrying
-    the rows) unless it is below eps.  Returns (left sum, right sum, gap,
-    rows, (left construction, right construction)), the left ones taken
-    at the smallest tau.
+    ``build(tau, tag_order, zero_order)`` makes one construction, ``total``
+    gives its Riemann sum and ``size`` its number of tagged intervals or
+    pieces.  Seed "left" is built at every tau of ``taus`` (largest first,
+    see ``_tau_list``) and seed "right" at the smallest; each (tau, sum) is
+    a row.  Each larger tau's left build runs in a seed store of its own,
+    and the smallest tau's left build shares one with the right seed (see
+    ``_shared_seeds``).  The gap is the spread of all the sums, and
+    CauchyFail (carrying the rows) unless it is below eps.  The HKResult's
+    value is the midpoint of the two seeds' sums at the smallest tau, and
+    its certificate keeps the two constructions only when ``keep``.
     """
     rows = []
-    for tau in taus:
-        left = build(tau, *_SEED_ORDERS["left"])
+    for tau in taus[:-1]:
+        # only the smallest tau has a right seed to share a pass with
+        with _shared_seeds():
+            left = build(tau, *_SEED_ORDERS["left"])
         rows.append((tau, total(left)))
-    right = build(taus[-1], *_SEED_ORDERS["right"])
-    rows.append((taus[-1], total(right)))
+    with _shared_seeds():
+        left = build(taus[-1], *_SEED_ORDERS["left"])
+        rows.append((taus[-1], total(left)))
+        right = build(taus[-1], *_SEED_ORDERS["right"])
+        rows.append((taus[-1], total(right)))
     sums = [s for _tau, s in rows]
     gap = max(sums) - min(sums)
     if not (gap < eps):
@@ -959,7 +976,13 @@ def _certify(build, total, eps: float, taus: Sequence[float]) -> tuple:
         del left, right
         raise CauchyFail(sums[-2], sums[-1], eps, partial_sums=rows,
                          detail=f"spread over the tau schedule is {gap!r}")
-    return sums[-2], sums[-1], gap, tuple(rows), (left, right)
+    cert = Certificate(sum1=sums[-2], sum2=sums[-1], gauge_name=gauge_name,
+                       sizes=(size(left), size(right)), tau=taus[-1],
+                       remainders=(left.remainder_value,
+                                   right.remainder_value),
+                       families=(left, right) if keep else ())
+    return HKResult(value=0.5 * (sums[-2] + sums[-1]), epsilon=gap,
+                    certificate=cert, partial_sums=tuple(rows))
 
 
 def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
@@ -970,24 +993,24 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
     Two tagged partitions are built from independent deterministic seeds
     (left-first vs right-first candidate order; carve budgets assigned in
     reversed order for the second seed).  Their Riemann sums must agree
-    within eps, else CauchyFail with both sums as partial-sum rows.  The
-    returned value is the midpoint of the two certified sums and
-    ``epsilon`` is the achieved gap.  The seeds bisect each segment they
-    share in one pass (see ``cousin_partition``).
+    within eps, else CauchyFail with both sums as (tau, sum) rows; the
+    result carries the same rows as ``partial_sums``.  The returned value
+    is the midpoint of the two certified sums and ``epsilon`` is the
+    achieved gap.  The seeds bisect each segment they share in one pass
+    (see ``cousin_partition``).
 
     For gauges with a declared zero set the partition is carves plus covered
     family; carve pairs are tagged at the zero points and kept in the sum,
     with widths shrunk so each tag's contribution is under its budget.
+    ``Certificate.tau`` is None for a positive gauge, which carves nothing.
     ``vectorized`` has no effect: ``riemann_sum`` decides how to call f.
     """
     sched = as_schedule(schedule)
-    if not (eps > 0.0):
-        raise ValueError(f"eps {eps!r} must be positive")
+    taus = _tau_list(None, eps)
     gauge = sched.gauge(eps)
-    control = getattr(sched, "control", None)
 
     def build(tau, tag_order, zero_order):
-        return howard_cousin_family(gauge.host, gauge, control, tau,
+        return howard_cousin_family(gauge.host, gauge, sched.control, tau,
                                     tag_order=tag_order, zero_order=zero_order,
                                     f_weight=f if gauge.zero_set else None,
                                     eps_weight=eps / 2.0,
@@ -999,17 +1022,11 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
             raise DepthExceeded("construction failed to partition the host")
         return riemann_sum(f, part)
 
-    tau = sched.tau(eps)
-    with _shared_seeds():
-        s1, s2, gap, _rows, cons = _certify(build, total, eps, [tau])
-    cert = Certificate(
-        sum1=s1, sum2=s2, gauge_name=gauge.name,
-        sizes=(cons[0].partition.n, cons[1].partition.n),
-        tau=tau if gauge.zero_set else None,
-        remainders=(cons[0].remainder_value, cons[1].remainder_value),
-        families=cons if keep_families else (),
-    )
-    return HKResult(value=0.5 * (s1 + s2), epsilon=gap, certificate=cert)
+    res = _certify(build, total, eps, taus, gauge.name,
+                   lambda fc: fc.partition.n, keep=keep_families)
+    if not gauge.zero_set:
+        res.certificate.tau = None
+    return res
 
 
 # ---------------------------------------------------------------------------

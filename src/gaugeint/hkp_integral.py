@@ -15,7 +15,6 @@ tangent-dependent integrands stay well defined at polyline vertices.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +27,7 @@ from .currents1d import (
     Piece,
     PieceCharge,
     PieceFamily,
+    _arc_gauges,
     abs_charge,
     howard_cousin_current,
     mass_charge,
@@ -41,7 +41,6 @@ from .errors import (
     QuadratureUnstable,
 )
 from .hk_core import (
-    Certificate,
     Gauge,
     HKResult,
     Schedule,
@@ -49,8 +48,8 @@ from .hk_core import (
     _checked_values,
     _eval_points,
     _integrand_values,
-    _shared_seeds,
     _tau_list,
+    as_schedule,
     ftc_gauge,
 )
 from .sums import compensated_sum, exact_sum
@@ -59,7 +58,6 @@ __all__ = [
     "ArcFunction",
     "hkp_riemann_sum",
     "hkp_integrate",
-    "as_current_schedule",
     "uniform_current_schedule",
     "arc_gauge_schedule",
     "piece_as_current",
@@ -71,7 +69,6 @@ __all__ = [
     "FtcReport",
     "REPORT_COLUMNS",
     "REPORT_PREAMBLE",
-    "format_report_csv",
 ]
 
 
@@ -195,17 +192,6 @@ def hkp_riemann_sum(f, family: PieceFamily) -> float:
 # schedules on chains
 
 
-def as_current_schedule(obj) -> Schedule:
-    """Normalize a fixed gauge, an eps->gauge callable, or a schedule."""
-    if isinstance(obj, AmbientGauge):
-        return Schedule(lambda eps: obj)
-    if hasattr(obj, "gauge") and hasattr(obj, "tau"):
-        return obj
-    if callable(obj):
-        return Schedule(obj)
-    raise TypeError(f"cannot interpret {obj!r} as a gauge schedule on a chain")
-
-
 def uniform_current_schedule(h) -> Schedule:
     """Constant ambient width h, or h(eps)."""
     def build(eps: float) -> AmbientGauge:
@@ -242,10 +228,12 @@ def hkp_integrate(f, T: Current1D, G: PieceCharge, gauge_schedule,
     sums; CauchyFail carries the per-tau sums, whose growth as tau shrinks
     is the non-integrability diagnostic.
 
-    Each component's arc gauge is pulled back once per call, and the two
-    seeds share one bisection pass per component segment they both cover
-    (see ``hk_core.cousin_partition``), bit for bit the families two lone
-    ``howard_cousin_current`` builds give.
+    Each component's arc gauge is pulled back once per call.
+    ``hk_core._certify`` opens the seed stores: in the one around the two
+    seeds at the smallest tau they share one bisection pass per component
+    segment they both cover (see ``hk_core.cousin_partition``), bit for bit
+    the families two lone ``howard_cousin_current`` builds give, and each
+    larger tau's left build gets a store of its own.
     """
     return _certify_each([f], T, G, gauge_schedule, eps, tau_schedule,
                          max_depth=max_depth, max_nodes=max_nodes)[0]
@@ -260,38 +248,24 @@ def _certify_each(fs: Sequence, T: Current1D, G: PieceCharge, gauge_schedule,
     The families do not depend on the integrand, so each (tau, tag order,
     zero order) is built once, when the first integrand asks for it, and
     the later ones sum the same family: results and errors come as a loop
-    of lone calls gives them.  The arc gauges are memoized per (component,
-    curve), since the seed store knows a gauge by its object.  The builds
-    are dropped before the call leaves, also by an error, whose traceback
-    keeps this frame.
+    of lone calls gives them.  The arc gauges are made once per (component,
+    curve) (see ``currents1d._arc_gauges``).  The builds and arc gauges are
+    dropped before the call leaves, also by an error, whose traceback keeps
+    this frame.
     """
-    if not (eps > 0.0):
-        raise ValueError(f"eps {eps!r} must be positive")
-    sched = as_current_schedule(gauge_schedule)
-    gauge = sched.gauge(eps)
-    taus = _tau_list(tau_schedule, sched, eps)
+    taus = _tau_list(tau_schedule, eps)
+    gauge = as_schedule(gauge_schedule).gauge(eps)
     name = gauge.name if isinstance(gauge, AmbientGauge) else "per-component"
-    snap = 1e-9 * T.diameter()
-    arcs: dict = {}
+    arc = _arc_gauges(gauge, T)
     builds: dict = {}
-
-    def arc_gauge(ci: int, curve: Curve) -> Gauge:
-        if (ci, curve) not in arcs:
-            arcs[ci, curve] = gauge.pullback(curve, snap) \
-                if isinstance(gauge, AmbientGauge) else gauge(ci, curve)
-        return arcs[ci, curve]
 
     def build(tau, tag_order, zero_order):
         key = (tau, tag_order, zero_order)
         if key in builds:
             return builds[key]
-        # only the smallest tau has a right seed to share a pass with: a
-        # larger tau's left build gets a store of its own, gone with it
-        with _shared_seeds() if tau != taus[-1] else nullcontext():
-            fam = howard_cousin_current(
-                T, arc_gauge, G, tau, tag_order=tag_order,
-                zero_order=zero_order, max_depth=max_depth,
-                max_nodes=max_nodes)
+        fam = howard_cousin_current(T, arc, G, tau, tag_order=tag_order,
+                                    zero_order=zero_order, max_depth=max_depth,
+                                    max_nodes=max_nodes)
         # kept for the integrands after the first; a lone integrand lets
         # each tau's family go once the next is built
         if len(fs) > 1:
@@ -299,24 +273,12 @@ def _certify_each(fs: Sequence, T: Current1D, G: PieceCharge, gauge_schedule,
         return fam
 
     try:
-        with _shared_seeds():
-            return [_hkp_result(_certify(
-                build, lambda fam: hkp_riemann_sum(f, fam), eps, taus),
-                name, taus[-1]) for f in fs]
+        return [_certify(build, lambda fam: hkp_riemann_sum(f, fam), eps,
+                         taus, name, lambda fam: fam.n) for f in fs]
     finally:
+        # _certify's frame in the traceback holds build, which sees arc
         builds.clear()
-        arcs.clear()
-
-
-def _hkp_result(certified: tuple, gauge_name: str, tau: float) -> HKResult:
-    """The HKResult of one ``_certify`` outcome."""
-    sum_a, sum_b, gap, partial, fams = certified
-    cert = Certificate(sum1=sum_a, sum2=sum_b, gauge_name=gauge_name,
-                       sizes=(fams[0].n, fams[1].n), tau=tau,
-                       remainders=(fams[0].remainder_value,
-                                   fams[1].remainder_value))
-    return HKResult(value=0.5 * (sum_a + sum_b), epsilon=gap,
-                    certificate=cert, partial_sums=partial)
+        arc = None
 
 
 # ---------------------------------------------------------------------------
@@ -500,21 +462,6 @@ REPORT_COLUMNS = ("epsilon", "tau", "gauge_id", "sum1", "sum2", "gap",
 REPORT_PREAMBLE = "# families subordinate to the input chain decomposition"
 
 
-def format_report_csv(rows: Sequence[dict]) -> str:
-    """Line-delimited report; floats rendered to round-trip exactly."""
-    def cell(v):
-        if v is None or v == "":
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    lines = [REPORT_PREAMBLE, ",".join(REPORT_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(cell(row.get(c)) for c in REPORT_COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class FtcReport:
     """Boundary pairing vs certified integral, one row per epsilon."""
@@ -526,7 +473,18 @@ class FtcReport:
         return max(r["discrepancy"] for r in self.rows)
 
     def to_csv(self) -> str:
-        return format_report_csv(self.rows)
+        """Line-delimited report; floats rendered to round-trip exactly."""
+        def cell(v):
+            if v is None or v == "":
+                return ""
+            if isinstance(v, float):
+                return repr(v)
+            return str(v)
+
+        lines = [REPORT_PREAMBLE, ",".join(REPORT_COLUMNS)]
+        for row in self.rows:
+            lines.append(",".join(cell(row.get(c)) for c in REPORT_COLUMNS))
+        return "\n".join(lines) + "\n"
 
 
 def ftc_verify(u: Callable, T: Current1D, eps_schedule: Sequence[float], *,
@@ -594,15 +552,13 @@ def ftc_verify(u: Callable, T: Current1D, eps_schedule: Sequence[float], *,
             return per_comp
         sched = Schedule(build)
     else:
-        sched = as_current_schedule(gauge_schedule)
+        sched = as_schedule(gauge_schedule)
         if exceptional:
             for eps in eps_schedule:
-                g = sched.gauge(eps)
+                arc = _arc_gauges(sched.gauge(eps), T)
                 for ci, (curve, _m) in enumerate(T.components):
-                    garc = g.pullback(curve, snap) if isinstance(g, AmbientGauge) \
-                        else g(ci, curve)
                     for s in exc_arc[ci]:
-                        if garc(s) != 0.0:
+                        if arc(ci, curve)(s) != 0.0:
                             raise ExceptionalTagEncountered(
                                 f"gauge positive at exceptional point "
                                 f"(component {ci}, arc {s!r})")

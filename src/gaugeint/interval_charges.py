@@ -18,12 +18,10 @@ import numpy as np
 
 from .errors import ContinuityBudgetFail, TraitViolation
 from .hk_core import (
-    Certificate,
     Gauge,
     HKResult,
     _certify,
     _eval_points,
-    _shared_seeds,
     _tau_list,
     as_schedule,
     howard_cousin_family,
@@ -310,32 +308,24 @@ def full_family_integrate(f, G: IntervalCharge, gauge_schedule,
     Families are built by howard_cousin_family: fine, tags off the gauge's
     zero set, uncovered remainder with |G| < tau.  Two independent builds
     (left/right seeds, carve budget order flipped) must agree within eps,
-    else CauchyFail carrying the (tau, sum) rows; the builds bisect each
-    segment they share in one pass.  ``tau_schedule`` is
-    read as in hkp_integrate: None for eps/4, a number, an eps -> tau
-    callable, or a list of budgets (the left seed is built at each).
+    else CauchyFail carrying the (tau, sum) rows, which the result also
+    carries as ``partial_sums``; the builds bisect each segment they share
+    in one pass.  ``tau_schedule`` is read as in hkp_integrate: None for
+    eps/4, a number, an eps -> tau callable, or a list of budgets (the left
+    seed is built at each).
     The value is the midpoint of the two family sums; against a partition
     integral it can differ by the mass G assigns to the uncovered part,
     which the equivalence theorem bounds at the 3-epsilon scale.
     ``vectorized`` has no effect: ``riemann_sum`` decides how to call f.
     """
-    sched = as_schedule(gauge_schedule, control=G)
-    if not (eps > 0.0):
-        raise ValueError(f"eps {eps!r} must be positive")
+    sched = as_schedule(gauge_schedule)
+    taus = _tau_list(tau_schedule, eps)
     gauge = sched.gauge(eps)
-    taus = _tau_list(tau_schedule, sched, eps)
 
     def build(tau, tag_order, zero_order):
         return howard_cousin_family(gauge.host, gauge, G, tau,
                                     tag_order=tag_order, zero_order=zero_order,
                                     max_depth=max_depth, max_nodes=max_nodes)
 
-    with _shared_seeds():
-        s1, s2, gap, _rows, cons = _certify(
-            build, lambda fc: riemann_sum(f, fc.family), eps, taus)
-    cert = Certificate(sum1=s1, sum2=s2, gauge_name=gauge.name,
-                       sizes=(cons[0].family.n, cons[1].family.n),
-                       tau=taus[-1],
-                       remainders=(cons[0].remainder_value,
-                                   cons[1].remainder_value))
-    return HKResult(value=0.5 * (s1 + s2), epsilon=gap, certificate=cert)
+    return _certify(build, lambda fc: riemann_sum(f, fc.family), eps, taus,
+                    gauge.name, lambda fc: fc.family.n)

@@ -130,6 +130,35 @@ def test_proportional_schedule_bad_spec_is_usage_error(tmp_path, capsys, spec):
     assert "proportional schedule wants" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--eps", "nan"],
+    ["partition", "--tau", "-1"],
+    ["partition", "--tau", "0"],
+    ["partition", "--tau", "nan"],
+    ["integrate", "--fn", "sqsin", "--eps", "1e-2", "--tau", "-1"],
+    ["integrate", "--tau", "-1"],
+    ["integrate", "--tau", "0"],
+    ["integrate", "--tau", "nan"],
+    ["integrate", "--tau", "abc"],
+    ["integrate", "--tau", "1e-3,1e-4"],
+    ["integrate", "--seed", "x"],
+])
+def test_bad_numeric_flag_is_usage_error(tmp_path, capsys, argv):
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "gaugeint: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["eps = inf", "tau = -1", "seed = 1.5"])
+def test_bad_numeric_config_value_is_usage_error(tmp_path, capsys, line):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(line + "\n")
+    code = main(["partition", "--config", str(conf),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "gaugeint: error:" in capsys.readouterr().err
+
+
 def test_unknown_integrand_is_usage_error(tmp_path, capsys):
     code = main(["integrate", "--fn", "wibble", "--out-dir", str(tmp_path)])
     assert code == 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugeint import (
+    AmbientGauge,
     CauchyFail,
     ContinuityBudgetFail,
     Current1D,
@@ -22,6 +23,7 @@ from gaugeint import (
     charge_from_primitive,
     cousin_partition,
     ftc_schedule,
+    full_family_integrate,
     gallery,
     hk_integrate,
     hkp_riemann_sum,
@@ -36,9 +38,11 @@ from gaugeint import (
     uniform_current_schedule,
     uniform_schedule,
 )
+from gaugeint import hk_core, interval_charges
 from gaugeint.errors import SearchFail
 from gaugeint.hk_core import (
     FamilyConstruction,
+    Schedule,
     TaggedFamily1D,
     _eval_points,
     ftc_gauge,
@@ -322,6 +326,7 @@ def _certify_against_lone_builds(zeros):
     cert = res.certificate
     assert (cert.sum1, cert.sum2) == tuple(
         riemann_sum(f, fc.partition) for fc in lone)
+    assert res.partial_sums == ((eps / 4.0, cert.sum1), (eps / 4.0, cert.sum2))
     return lone, seen[:n_certify], seen[n_certify:], evals
 
 
@@ -356,24 +361,83 @@ def test_hk_integrate_seeds_on_different_segments_bisect_alone():
     assert certified == lone_left + lone_right
 
 
-def test_seed_store_does_not_outlive_the_call():
-    # with a zero, the store also holds a carve and, in it, the control
-    for zeros, eps, fails in (((), 0.1, False), ((), 1e-12, True),
-                              ((0.4,), 0.1, False), ((0.4,), 1e-12, True)):
-        gauge, _seen = _counted_gauge(zeros)
-        control = PrimitiveControl(lambda x: x ** 3)
-        refs = [weakref.ref(gauge), weakref.ref(control)]
-        try:
-            hk_integrate(lambda x: 3.0 * x * x,
-                         as_schedule(gauge, control=control), eps,
-                         vectorized=True)
-            raised = False
-        except CauchyFail:
-            raised = True
-        assert raised == fails
-        del gauge, control
-        gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+def _record_interval_builds(monkeypatch):
+    """The constructions the interval integrators build, in build order."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(howard_cousin_family(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(hk_core, "howard_cousin_family", recording)
+    monkeypatch.setattr(interval_charges, "howard_cousin_family", recording)
+    return built
+
+
+def test_seed_store_does_not_outlive_the_call(monkeypatch):
+    # with a zero, the store also holds a carve and, in it, the control;
+    # the builds go too, whether the call returns or raises
+    built = _record_interval_builds(monkeypatch)
+    integrators = (
+        (lambda f, sched, eps: hk_integrate(f, sched, eps), 2),
+        (lambda f, sched, eps: full_family_integrate(
+            f, sched.control, sched, eps, [0.2, 0.1]), 3),
+    )
+    for integrate, n_builds in integrators:
+        for zeros, eps, fails in (((), 0.1, False), ((), 1e-12, True),
+                                  ((0.4,), 0.1, False),
+                                  ((0.4,), 1e-12, True)):
+            gauge, _seen = _counted_gauge(zeros)
+            control = PrimitiveControl(lambda x: x ** 3)
+            try:
+                out = integrate(lambda x: 3.0 * x * x,
+                                as_schedule(gauge, control=control), eps)
+            except CauchyFail as exc:
+                out = exc
+            assert isinstance(out, CauchyFail) == fails
+            builds = [weakref.ref(fc) for fc in built]
+            assert len(builds) == n_builds
+            del built[:]
+            gc.collect()
+            # gone while the result, or the error with its traceback, is held
+            assert out is not None
+            assert [ref() for ref in builds] == [None] * n_builds
+            refs = [weakref.ref(gauge), weakref.ref(control)]
+            del gauge, control, out
+            gc.collect()
+            assert [ref() for ref in refs] == [None, None]
+
+
+def test_as_schedule_takes_each_schedule_form():
+    control = PrimitiveControl(lambda x: x)
+    fixed = (Gauge.uniform(0.0, 1.0, 0.1),
+             AmbientGauge(lambda P: np.full(np.shape(P)[:-1], 0.1)))
+    for gauge in fixed:
+        sched = as_schedule(gauge, control=control)
+        assert isinstance(sched, Schedule)
+        assert sched.gauge(1e-3) is gauge and sched.control is control
+    sched = as_schedule(lambda eps: Gauge.uniform(0.0, 1.0, eps), control)
+    assert isinstance(sched, Schedule) and sched.control is control
+    assert sched.gauge(0.25)(0.5) == 0.25
+    made = uniform_schedule(0.0, 1.0, 0.1)
+    assert as_schedule(made, control=control) is made
+    assert made.control is None
+
+
+class _DuckSchedule:
+    """A schedule-shaped object that is not a Schedule."""
+
+    def gauge(self, eps):
+        return Gauge.uniform(0.0, 1.0, eps)
+
+    def tau(self, eps):
+        return eps / 4.0
+
+
+@pytest.mark.parametrize("obj", [0.1, None, "uniform:0.1", _DuckSchedule()])
+def test_as_schedule_rejects_anything_else(obj):
+    with pytest.raises(TypeError):
+        as_schedule(obj)
 
 
 # ---------------------------------------------------------------------------

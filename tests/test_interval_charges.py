@@ -15,6 +15,7 @@ from gaugeint import (
     hk_integrate,
     length_charge,
     positivize_gauge,
+    riemann_sum,
     uniform_schedule,
 )
 from gaugeint import interval_charges
@@ -148,3 +149,8 @@ def test_full_family_seeds_share_one_bisection(monkeypatch):
                 assert getattr(fa, attr).tobytes() == getattr(fb, attr).tobytes()
         assert got.remainder_value == want.remainder_value
     assert res.certificate.sizes == (lone[1].family.n, lone[2].family.n)
+    # the (tau, sum) rows, as CauchyFail would carry them
+    f = lambda x: 3.0 * x * x
+    assert res.partial_sums == tuple(
+        (tau, riemann_sum(f, fc.family))
+        for tau, fc in zip([1e-2, 1e-3, 1e-3], lone))
