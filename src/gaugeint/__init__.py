@@ -7,6 +7,7 @@ derivation, and the Pfeffer-style integral on chains.
 """
 
 from .errors import (
+    AuditFail,
     CauchyFail,
     ContinuityBudgetFail,
     DepthExceeded,

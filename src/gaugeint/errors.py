@@ -55,6 +55,11 @@ class SearchFail(GaugeIntError):
     """Radius search found no admissible radius above the floor."""
 
 
+class AuditFail(GaugeIntError):
+    """A proof gauge's own primitive fails its Saks-Henstock audit: on a
+    covered family the audit reached eps/2."""
+
+
 class SpecOutOfRange(GaugeIntError):
     """A restriction selector referenced material not present in the chain."""
 

@@ -9,7 +9,8 @@ a single construction: every integral is the agreement of two partitions
 built from independent deterministic seeds, and one front end
 (``_certify``) runs that two-seed test for intervals, full families and
 chains alike: it opens the seed stores, builds and sums the constructions,
-and returns the certificate.
+audits those built on a proof gauge of a known primitive (``ftc_gauge``)
+against that primitive, and returns the certificate.
 
 Numerical conventions (fixed so runs are reproducible):
   * every accumulation is a correctly rounded sum (``sums``), so its
@@ -26,7 +27,9 @@ Numerical conventions (fixed so runs are reproducible):
   * bisection tag candidates tried left endpoint, midpoint, right endpoint
     for the primary seed and in reversed order for the certification seed,
   * dyadic radius searches from the host length down to 1e-12 times the
-    host length.
+    host length; ``ftc_gauge``'s search checks its inequality on the pair
+    x +- r alone, and the Saks-Henstock audit ``_certify`` runs on every
+    covered family such a gauge builds is what the certificate rests on.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    AuditFail,
     CauchyFail,
     ContinuityBudgetFail,
     DepthExceeded,
@@ -49,7 +53,7 @@ from .errors import (
     SearchFail,
     UndefinedTag,
 )
-from .sums import compensated_sum
+from .sums import compensated_sum, exact_sum
 
 __all__ = [
     "Gauge",
@@ -77,9 +81,6 @@ __all__ = [
 # last dyadic radius above 1e-12 times the host length.
 _RADIUS_FLOOR_EXP = 39
 
-# ftc_gauge's fan of radius r: the offsets +- r * 2**-i for i below this.
-_FAN_MAGNITUDES = 16
-
 
 # ---------------------------------------------------------------------------
 # gauges
@@ -104,9 +105,13 @@ class Gauge:
     zero_set: tuple = ()
     name: str = "gauge"
     # Carves around interior zero-set points keep this distance from the
-    # point; gauges whose evaluator has a resolution floor (sampled fans)
-    # set it so no carve edge lands where evaluation is impossible.
+    # point; gauges whose evaluator has a resolution floor (radius
+    # searches) set it so no carve edge lands where evaluation is impossible.
     min_clearance: float = 0.0
+    # (F, F') of a gauge made by ftc_gauge, None for any other; not a field,
+    # so no constructor takes it.  ``_certify`` audits the pair on every
+    # covered family the gauge builds.
+    _ftc_pair = None
 
     def __post_init__(self):
         if not (self.a < self.b):
@@ -840,6 +845,9 @@ class Certificate:
     tau: Optional[float] = None
     remainders: tuple = (0.0, 0.0)
     families: tuple = ()          # optional (TaggedFamily1D, TaggedFamily1D)
+    # largest Saks-Henstock audit of a proof gauge's own pair over the
+    # constructions, None when no gauge carries a pair (see ``_certify``)
+    audit: Optional[float] = None
 
     @property
     def gap(self) -> float:
@@ -927,23 +935,67 @@ _SEED_ORDERS = {"left": ("left", "declared"), "right": ("right", "reversed")}
 def _tau_list(tau_schedule, eps: float) -> list:
     """Remainder budgets, largest first: eps/4 when tau_schedule is None,
     else a number, an eps -> tau callable, or a list.  ValueError unless
-    eps > 0."""
+    eps > 0 and every tau is positive and finite."""
     if not (eps > 0.0):
         raise ValueError(f"eps {eps!r} must be positive")
     if tau_schedule is None:
         return [eps / 4.0]
     if callable(tau_schedule):
-        return [float(tau_schedule(eps))]
-    if np.isscalar(tau_schedule):
-        return [float(tau_schedule)]
-    taus = sorted((float(t) for t in tau_schedule), reverse=True)
+        taus = [float(tau_schedule(eps))]
+    elif np.isscalar(tau_schedule):
+        taus = [float(tau_schedule)]
+    else:
+        taus = sorted((float(t) for t in tau_schedule), reverse=True)
     if not taus:
         raise ValueError("empty tau schedule")
+    for tau in taus:
+        if not (0.0 < tau < math.inf):
+            raise ValueError(f"tau {tau!r} must be positive and finite")
     return taus
 
 
+def _covered_parts(fc: FamilyConstruction) -> list:
+    """The audited part of an interval construction: its covered family,
+    when its gauge carries a pair (see ``_audit``)."""
+    return [(fc.gauge, 1.0, fc.family)] if fc.gauge._ftc_pair else []
+
+
+def _audit(parts, eps: float) -> Optional[tuple]:
+    """Saks-Henstock audit of one construction against its proof gauges.
+
+    ``parts`` lists (gauge, weight, covered family) for each part whose
+    gauge carries its pair (F, F'); the audit is the exact sum of weight *
+    ``saks_henstock_audit(F', F, family)``.  For each part's partition,
+    |f(t) w - dF| summed bounds how far its Riemann sum of F' is from F's
+    increments, so an audit at or above eps/2 is evidence against the
+    gauge.  Returns None without parts, else (audit, failure): failure is
+    None below eps/2, else the AuditFail to raise, naming the gauge, eps,
+    the audit and the interval that adds most.
+    """
+    if not parts:
+        return None
+    value = exact_sum([w * saks_henstock_audit(g._ftc_pair[1], g._ftc_pair[0],
+                                               fam)
+                       for g, w, fam in parts])
+    if value < eps / 2.0:
+        return value, None
+    worst = None
+    for g, w, fam in parts:
+        if fam.n:
+            terms = w * _audit_terms(g._ftc_pair[1], g._ftc_pair[0], fam)
+            i = int(np.argmax(terms))
+            if worst is None or terms[i] > worst[0]:
+                worst = (float(terms[i]), g, fam, i)
+    term, g, fam, i = worst
+    return value, AuditFail(
+        f"{g.name}: Saks-Henstock audit {value!r} of the gauge's own "
+        f"primitive is not below eps/2 = {eps / 2.0!r} (eps {float(eps)!r}); "
+        f"the interval [{float(fam.lefts[i])!r}, {float(fam.rights[i])!r}] "
+        f"tagged at {float(fam.tags[i])!r} adds {term!r}")
+
+
 def _certify(build, total, eps: float, taus: Sequence[float], gauge_name: str,
-             size, keep: bool = False) -> HKResult:
+             size, keep: bool = False, parts=_covered_parts) -> HKResult:
     """Henstock's Cauchy test on two independently seeded constructions.
 
     ``build(tau, tag_order, zero_order)`` makes one construction, ``total``
@@ -952,35 +1004,50 @@ def _certify(build, total, eps: float, taus: Sequence[float], gauge_name: str,
     see ``_tau_list``) and seed "right" at the smallest; each (tau, sum) is
     a row.  Each larger tau's left build runs in a seed store of its own,
     and the smallest tau's left build shares one with the right seed (see
-    ``_shared_seeds``).  The gap is the spread of all the sums, and
-    CauchyFail (carrying the rows) unless it is below eps.  The HKResult's
-    value is the midpoint of the two seeds' sums at the smallest tau, and
-    its certificate keeps the two constructions only when ``keep``.
+    ``_shared_seeds``).  Each construction is audited once summed, where
+    ``parts`` finds proof gauges in it (see ``_audit``).  The gap is the
+    spread of all the sums, and CauchyFail (carrying the rows) unless it
+    is below eps; then AuditFail, from the first construction whose audit
+    is not below eps/2.  The HKResult's value is the midpoint of the two
+    seeds' sums at the smallest tau, and its certificate keeps the largest
+    audit, and the two constructions only when ``keep``.
     """
     rows = []
+    audits = []
+
+    def summed(tau, construction):
+        rows.append((tau, total(construction)))
+        audited = _audit(parts(construction), eps)
+        if audited is not None:
+            audits.append(audited)
+
     for tau in taus[:-1]:
         # only the smallest tau has a right seed to share a pass with
         with _shared_seeds():
             left = build(tau, *_SEED_ORDERS["left"])
-        rows.append((tau, total(left)))
+        summed(tau, left)
     with _shared_seeds():
         left = build(taus[-1], *_SEED_ORDERS["left"])
-        rows.append((taus[-1], total(left)))
+        summed(taus[-1], left)
         right = build(taus[-1], *_SEED_ORDERS["right"])
-        rows.append((taus[-1], total(right)))
+        summed(taus[-1], right)
     sums = [s for _tau, s in rows]
     gap = max(sums) - min(sums)
-    if not (gap < eps):
+    failures = [fail for _audit_value, fail in audits if fail is not None]
+    if not (gap < eps) or failures:
         # the traceback keeps this frame alive as long as the exception is
         # held, so let go of the constructions first
         del left, right
-        raise CauchyFail(sums[-2], sums[-1], eps, partial_sums=rows,
-                         detail=f"spread over the tau schedule is {gap!r}")
+        if not (gap < eps):
+            raise CauchyFail(sums[-2], sums[-1], eps, partial_sums=rows,
+                             detail=f"spread over the tau schedule is {gap!r}")
+        raise failures[0]
     cert = Certificate(sum1=sums[-2], sum2=sums[-1], gauge_name=gauge_name,
                        sizes=(size(left), size(right)), tau=taus[-1],
                        remainders=(left.remainder_value,
                                    right.remainder_value),
-                       families=(left, right) if keep else ())
+                       families=(left, right) if keep else (),
+                       audit=max((v for v, _fail in audits), default=None))
     return HKResult(value=0.5 * (sums[-2] + sums[-1]), epsilon=gap,
                     certificate=cert, partial_sums=tuple(rows))
 
@@ -1003,6 +1070,10 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
     family; carve pairs are tagged at the zero points and kept in the sum,
     with widths shrunk so each tag's contribution is under its budget.
     ``Certificate.tau`` is None for a positive gauge, which carves nothing.
+    A proof gauge (``ftc_gauge``, as ``ftc_schedule`` builds) is audited
+    against its own primitive on each seed's covered family: once the seeds
+    agree, AuditFail at or above eps/2, else ``Certificate.audit`` is the
+    larger audit.
     ``vectorized`` has no effect: ``riemann_sum`` decides how to call f.
     """
     sched = as_schedule(schedule)
@@ -1038,27 +1109,25 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
               name: Optional[str] = None) -> Gauge:
     """Gauge realizing the differentiability estimate of a primitive.
 
-    At an ordinary point x the value is the largest dyadic radius r (host
-    length down to 1e-12 of it, binary search on the exponent) whose sampled
-    fan satisfies |F(y) - F(x) - F'(x)(y - x)| < (eps/2) |y - x| / (b - a)
-    at 16 magnitudes of offset on both sides.  At the j-th exceptional point
-    the width is instead chosen so the sampled oscillation of F on any
-    containing interval of that width is below eps / 2**(j+2), or the gauge
-    is pinned to 0 there when ``zero_at_exceptional`` (family construction).
-    SearchFail, naming the gauge, when no admissible radius exists above the
-    floor or no width tames the oscillation at an exceptional point.
+    At an ordinary point x the value is a dyadic radius r = L 2**-k (L the
+    host length, k up to 39, about 1e-12 of L) whose pair x +- r, clipped to
+    the host, satisfies |F(y) - F(x) - F'(x)(y - x)| < (eps/2) |y - x| / L.
+    The search gallops k through 0, 1, 2, 4, 8, 16, 32, 39 to the first
+    pair that passes, then bisects between it and the last that failed.
+    At the j-th exceptional point the width is instead chosen so the
+    sampled oscillation of F on any containing interval of that width is
+    below eps / 2**(j+2), or the gauge is pinned to 0 there when
+    ``zero_at_exceptional`` (family construction).  SearchFail, naming the
+    gauge, when no admissible radius exists above the floor or no width
+    tames the oscillation at an exceptional point.
 
-    Each batch evaluates F(x) and F'(x) once per point.  The fan of the
-    probe at exponent k is the points x +- L 2**-m for m = k ... k+15 (L the
-    host length); whether a point passes does not depend on the probe that
-    asks.  The gallop's probes check all 32 offsets.  Once it has bracketed
-    the radius, the bracket's upper end hi has passed at every m in
-    [hi, hi+15], so a bisection probe at mid checks only m in [mid, hi-1].
-    Each probe checks the pair x +- r first and evaluates its other offsets
-    only for points that pass there.  Every verdict is the same as checking
-    all 32 offsets at once.  F and F' must therefore be elementwise on
-    arrays of any shape, and an F that would raise only at skipped offsets
-    no longer raises.  The gauge takes a float or an array of any shape.
+    The pair is a sample: it proves nothing about the other points within
+    r.  The proof is the Saks-Henstock audit: the gauge carries (F, F'),
+    and ``_certify`` sums |F'(t) w - dF| over each covered family the gauge
+    builds and raises AuditFail unless that is below eps/2 (see
+    ``_audit``).  Each batch evaluates F(x) and F'(x) once, and F once per
+    probe on the stacked pair points, so F and F' must be elementwise on
+    1-d arrays.  The gauge takes a float or an array of any shape.
     """
     a, b = float(host[0]), float(host[1])
     L = b - a
@@ -1093,48 +1162,27 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
         Fx = np.asarray(F(x), dtype=float)
         Fpx = np.asarray(Fprime(x), dtype=float)
 
-        def fan_ok(rows, k0, k1):
-            # the sampled inequality at x[rows] +- L * 2**-m for every m in
-            # [k0, k1) of the row, one F call per range length; a row with
-            # an empty range passes.  bincount finds the lengths, where
-            # np.unique would import numpy.ma, about 1 MB
-            ok = np.ones(rows.shape, dtype=bool)
-            span = k1 - k0
-            for s in np.flatnonzero(np.bincount(span)[1:]) + 1:
-                g = np.nonzero(span == s)[0]
-                at = rows[g]
-                # L * 2**-m is exact, so each point is the one every probe's
-                # fan reaches at that magnitude and its verdict is the same
-                # for all
-                ys = L * np.ldexp(1.0, -(k0[g][:, None] + np.arange(s)))
-                xr, Fxr = x[at][:, None], Fx[at][:, None]
-                ys = xr + np.concatenate([ys, -ys], axis=1)
-                np.clip(ys, a, b, out=ys)
-                dy = ys - xr
-                Fy = np.asarray(F(ys), dtype=float)
-                lin = Fpx[at][:, None] * dy
-                rem = np.abs(Fy - Fxr - lin)
-                # Remainders at rounding-noise level are uninformative: in
-                # exact arithmetic they are far below the bound whenever the
-                # bound itself is below float resolution of F.  Without
-                # this, admissibility at tiny radii is decided by
-                # cancellation noise.
-                noise = 64.0 * np.finfo(float).eps * (
-                    np.abs(Fxr) + np.abs(Fy) + np.abs(lin))
-                good = (rem < coeff * np.abs(dy)) | (rem <= noise) | (dy == 0.0)
-                ok[g] = np.all(good, axis=1)
-            return ok
-
-        def admissible(rows, ks, tops):
-            # Whether the fan of radius L * 2**-k passes at x[rows], checking
-            # only the magnitudes m in [k, top): the caller has verified
-            # the rest.  Nearly every rejected probe already fails at
-            # x +- r, so the other offsets are evaluated only for rows that
-            # pass there.
-            ok = fan_ok(rows, ks, ks + 1)
-            if ok.any():
-                ok[ok] = fan_ok(rows[ok], ks[ok] + 1, tops[ok])
-            return ok
+        def admissible(rows, ks):
+            # the inequality at the pair x[rows] +- L * 2**-ks, clipped to
+            # the host, with one F call on both sides
+            xr, Fxr, Fpxr = x[rows], Fx[rows], Fpx[rows]
+            r = L * np.ldexp(1.0, -ks)
+            ys = np.concatenate([xr + r, xr - r])
+            np.clip(ys, a, b, out=ys)
+            xr, Fxr, Fpxr = (np.concatenate([v, v]) for v in (xr, Fxr, Fpxr))
+            dy = ys - xr
+            Fy = np.asarray(F(ys), dtype=float)
+            lin = Fpxr * dy
+            rem = np.abs(Fy - Fxr - lin)
+            # Remainders at rounding-noise level are uninformative: in exact
+            # arithmetic they are far below the bound whenever the bound
+            # itself is below float resolution of F.  Without this,
+            # admissibility at tiny radii is decided by cancellation noise.
+            noise = 64.0 * np.finfo(float).eps * (
+                np.abs(Fxr) + np.abs(Fy) + np.abs(lin))
+            good = (rem < coeff * np.abs(dy)) | (rem <= noise) | (dy == 0.0)
+            m = rows.shape[0]
+            return good[:m] & good[m:]
 
         # Gallop down (radius halving fast) to the first admissible exponent,
         # then bisect inside the bracket.  Probes never go much below the
@@ -1147,8 +1195,7 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
             if not unresolved.any():
                 break
             sel = np.nonzero(unresolved)[0]
-            ks = np.full(sel.shape, k, dtype=np.int64)
-            ok = admissible(sel, ks, ks + _FAN_MAGNITUDES)
+            ok = admissible(sel, np.full(sel.shape, k, dtype=np.int64))
             hit = sel[ok]
             hi[hit] = k
             lo[hit] = prev[hit]
@@ -1158,23 +1205,23 @@ def ftc_gauge(F, Fprime, exceptional: Sequence[float], eps: float, host: tuple, 
             bad = float(x[unresolved][0])
             raise SearchFail(
                 f"{gname}: no admissible radius above the floor at x = {bad!r}")
-        # hi's fan covers the magnitudes [hi, hi + 16), which contain those
-        # of mid's fan from hi up, so a probe at mid checks only [mid, hi)
         while True:
             active = (hi - lo) > 1
             if not active.any():
                 break
             mid = (lo + hi) // 2
-            ok = admissible(np.nonzero(active)[0], mid[active], hi[active])
+            ok = admissible(np.nonzero(active)[0], mid[active])
             hi[active] = np.where(ok, mid[active], hi[active])
             lo[active] = np.where(ok, lo[active], mid[active])
         out[idx] = L * np.ldexp(1.0, -hi)
         return out.reshape(xs.shape)
 
     zs = tuple(y for y, d in exc_delta.items() if d == 0.0)
-    # Carve edges must stay clear of the sampled-fan resolution floor.
-    return Gauge(a, b, fn, zs, name=gname,
-                 min_clearance=L * 2.0 ** -(_RADIUS_FLOOR_EXP - 3))
+    # Carve edges must stay clear of the radius search's resolution floor.
+    gauge = Gauge(a, b, fn, zs, name=gname,
+                  min_clearance=L * 2.0 ** -(_RADIUS_FLOOR_EXP - 3))
+    object.__setattr__(gauge, "_ftc_pair", (F, Fprime))
+    return gauge
 
 
 def _oscillation_width(F, y: float, host: tuple, bound: float, gname: str,
@@ -1221,11 +1268,16 @@ def saks_henstock_audit(f, F, family: TaggedFamily1D, *,
     """
     if family.n == 0:
         return 0.0
+    return compensated_sum(_audit_terms(f, F, family))
+
+
+def _audit_terms(f, F, family: TaggedFamily1D) -> np.ndarray:
+    """|f(tag) * width - (F(right) - F(left))| per interval of the family."""
     vals = _integrand_values(f, family.tags)
     ends = _integrand_values(F, np.concatenate([family.rights, family.lefts]),
                              "primitive F undefined at interval end")
     dF = ends[:family.n] - ends[family.n:]
-    return compensated_sum(np.abs(vals * family.widths - dF))
+    return np.abs(vals * family.widths - dF)
 
 
 def ac_star_probe(F, null_set: Sequence[float], gauge: Gauge, *,

@@ -44,6 +44,7 @@ from .hk_core import (
     Gauge,
     HKResult,
     Schedule,
+    TaggedFamily1D,
     _certify,
     _checked_values,
     _eval_points,
@@ -249,9 +250,12 @@ def _certify_each(fs: Sequence, T: Current1D, G: PieceCharge, gauge_schedule,
     zero order) is built once, when the first integrand asks for it, and
     the later ones sum the same family: results and errors come as a loop
     of lone calls gives them.  The arc gauges are made once per (component,
-    curve) (see ``currents1d._arc_gauges``).  The builds and arc gauges are
-    dropped before the call leaves, also by an error, whose traceback keeps
-    this frame.
+    curve) (see ``currents1d._arc_gauges``).  Where a component's arc gauge
+    carries its pair (F, F') (``ftc_verify``'s default gauges), ``_certify``
+    audits the component's rows in arc coordinates against it, weighted by
+    |multiplicity|, and the weighted sum is the family's audit (see
+    ``hk_core._audit``).  The builds and arc gauges are dropped before the
+    call leaves, also by an error, whose traceback keeps this frame.
     """
     taus = _tau_list(tau_schedule, eps)
     gauge = as_schedule(gauge_schedule).gauge(eps)
@@ -272,9 +276,21 @@ def _certify_each(fs: Sequence, T: Current1D, G: PieceCharge, gauge_schedule,
             builds[key] = fam
         return fam
 
+    def parts(fam):
+        out = []
+        for ci, (curve, mult) in enumerate(T.components):
+            g = arc(ci, curve)
+            if g._ftc_pair:
+                rows = fam.ci == ci
+                out.append((g, float(abs(mult)), TaggedFamily1D(
+                    (0.0, curve.length), fam.s1[rows], fam.s2[rows],
+                    fam.tag_s[rows], validate=False)))
+        return out
+
     try:
         return [_certify(build, lambda fam: hkp_riemann_sum(f, fam), eps,
-                         taus, name, lambda fam: fam.n) for f in fs]
+                         taus, name, lambda fam: fam.n, parts=parts)
+                for f in fs]
     finally:
         # _certify's frame in the traceback holds build, which sees arc
         builds.clear()
@@ -510,7 +526,10 @@ def ftc_verify(u: Callable, T: Current1D, eps_schedule: Sequence[float], *,
     too; the dyadic carve budgets halve per point, which suits a handful
     of corners.  Pass corner_mode="smooth" when u composed with the
     parameterization is differentiable across vertices (adapted pairs).
-    The default control charge is |Theta_u|.
+    The default gauges carry their pair (u on the arc, the integrand's
+    map), so each family is audited against it (see ``_certify_each``):
+    AuditFail where the audit reaches eps/2.  The default control charge
+    is |Theta_u|.
     """
     if corner_mode not in ("exceptional", "smooth"):
         raise ValueError(f"unknown corner_mode {corner_mode!r}")

@@ -158,7 +158,12 @@ def charge_from_primitive(F: Callable[[float], float], host: tuple,
     """Additive continuous charge U -> sum of F(d) - F(c) over U."""
 
     def fn(intervals):
-        return compensated_sum(float(F(d)) - float(F(c)) for c, d in intervals)
+        if not intervals:
+            return 0.0
+        # one call on the stacked ends: the rights, then the lefts
+        ends = np.array(intervals, dtype=float)
+        vals = _eval_points(F, np.concatenate([ends[:, 1], ends[:, 0]]))
+        return compensated_sum(vals[:len(intervals)] - vals[len(intervals):])
 
     return IntervalCharge(host, fn, traits=("additive", "continuous"),
                           name=name or "dF")

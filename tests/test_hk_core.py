@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaugeint import (
     AmbientGauge,
+    AuditFail,
     CauchyFail,
     ContinuityBudgetFail,
     Current1D,
@@ -26,6 +27,7 @@ from gaugeint import (
     full_family_integrate,
     gallery,
     hk_integrate,
+    hkp_integrate,
     hkp_riemann_sum,
     howard_cousin_current,
     howard_cousin_family,
@@ -640,6 +642,21 @@ def test_hk_integrate_rejects_bad_eps():
         hk_integrate(lambda x: x, uniform_schedule(0.0, 1.0, 0.1), 0.0)
 
 
+def test_tau_budgets_must_be_positive_and_finite():
+    sched = uniform_schedule(0.0, 1.0, 0.1)
+    for tau in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"tau {tau!r} must be positive and finite")):
+            full_family_integrate(lambda x: x, None, sched, 0.1,
+                                  tau_schedule=tau)
+    seg = Current1D([(Curve(np.array([[0.0, 0.0], [1.0, 0.0]])), 1)])
+    with pytest.raises(ValueError) as info:
+        hkp_integrate(lambda p: 1.0, seg, mass_charge(),
+                      uniform_current_schedule(0.1), 0.1, tau_schedule=[-1.0])
+    assert str(info.value) == "tau -1.0 must be positive and finite"
+    assert info.traceback[-1].name == "_tau_list"
+
+
 def test_finite_set_change_does_not_move_value():
     # a gauge vanishing on the changed points keeps their contribution
     # inside the weighted carve budget
@@ -691,6 +708,54 @@ def test_saks_henstock_audit_within_bound(sqsin_runs):
             assert audit < 2.0 * eps
 
 
+def test_certificate_audit_is_the_largest_covered_family_audit(sqsin_runs):
+    pair, runs = sqsin_runs
+    for eps, res in runs.items():
+        audits = [saks_henstock_audit(pair["Fprime"], pair["F"], fc.family)
+                  for fc in res.certificate.families]
+        assert res.certificate.audit == max(audits)
+        assert res.certificate.audit < eps / 2.0
+
+
+def test_certificate_audit_is_none_without_a_proof_gauge():
+    res = hk_integrate(lambda x: x, uniform_schedule(0.0, 1.0, 0.1), 0.1)
+    assert res.certificate.audit is None
+    ff = full_family_integrate(lambda x: x, None,
+                               uniform_schedule(0.0, 1.0, 0.1), 0.1)
+    assert ff.certificate.audit is None
+
+
+def _mismatched_gauge():
+    # widths from the pair (x, 1), which admits the whole host everywhere;
+    # the pair carried is (x^2, 0), whose increments sum to 1 on any
+    # partition of [0, 1] while its Riemann sums of 0 are 0
+    gauge = ftc_gauge(lambda x: x, np.ones_like, [], 1e-2, (0.0, 1.0))
+    object.__setattr__(gauge, "_ftc_pair", (lambda x: x * x, np.zeros_like))
+    return gauge
+
+
+def test_audit_fail_names_the_gauge_eps_and_worst_interval():
+    message = ("ftc[eps=0.01]: Saks-Henstock audit 1.0 of the gauge's own "
+               "primitive is not below eps/2 = 0.005 (eps 0.01); the "
+               "interval [0.5, 1.0] tagged at 0.5 adds 0.75")
+    with pytest.raises(AuditFail, match="^" + re.escape(message) + "$"):
+        hk_integrate(lambda x: 1.0, _mismatched_gauge(), 1e-2)
+    with pytest.raises(AuditFail, match="^" + re.escape(message) + "$"):
+        full_family_integrate(lambda x: 1.0, None, _mismatched_gauge(), 1e-2)
+    # where the seeds' sums are also apart, CauchyFail comes first
+    with pytest.raises(CauchyFail):
+        hk_integrate(lambda x: x, _mismatched_gauge(), 1e-2)
+
+
+@pytest.mark.parametrize("host, eps", [((-0.2, 0.6), 1e-3),
+                                       ((-0.97, 0.691), 1e-2)])
+def test_ftc_pipeline_certifies_defect_list_hosts(host, eps):
+    F, Fp = gallery.square_sine, gallery.square_sine_prime
+    res = hk_integrate(Fp, ftc_schedule(F, Fp, [0.0], host), eps)
+    assert abs(res.value - (F(host[1]) - F(host[0]))) < eps
+    assert res.certificate.audit < eps / 2.0
+
+
 def test_saks_henstock_audit_on_subfamily(sqsin_runs):
     # the bound survives dropping pairs from the partition
     pair, runs = sqsin_runs
@@ -724,15 +789,16 @@ def test_howard_cousin_remainder_under_tau(square_sine_pair):
 
 
 def test_ftc_gauge_search_fail_names_the_gauge(square_sine_pair):
-    # a known defect, pinned by its message: at this ordinary point the
-    # gallop's probe exponents miss the band of admissible radii
+    # within 1e-9 of the exceptional point F' oscillates too fast for any
+    # radius above the floor; 0.2518768310546875 is an ordinary point
     pair = square_sine_pair
     gauge = ftc_schedule(pair["F"], pair["Fprime"], list(pair["exceptional"]),
                          pair["host"]).gauge(1e-3)
+    assert gauge(0.2518768310546875) == 2.0 ** -17
     with pytest.raises(SearchFail, match=re.escape(
             "ftc[eps=0.001]: no admissible radius above the floor at "
-            "x = 0.2518768310546875")):
-        gauge.eval_many([0.2518768310546875])
+            "x = 1e-09")):
+        gauge.eval_many([1e-9])
 
 
 def test_ftc_gauge_oscillation_fail_names_the_gauge():
@@ -756,12 +822,10 @@ def test_ftc_gauge_name_prints_a_numpy_eps_as_a_plain_float():
         ftc_gauge(np.sign, zero, [0.0], np.float64(1e-2), (-1.0, 1.0))
 
 
-# ftc_gauge's widths at ordinary points as computed before the fan check
-# was split into the x +- r pair and the rest: all 32 offsets in one shot,
-# F(x) and F'(x) recomputed on every probe.  NaN where no radius above the
-# floor is admissible, where the gauge raises SearchFail.
-_REFERENCE_FAN = np.array([2.0 ** -i for i in range(16)]
-                          + [-(2.0 ** -i) for i in range(16)])
+# ftc_gauge's widths at ordinary points, each probe checked in one shot on
+# the pair x +- r, F(x) and F'(x) recomputed on every probe.  NaN where no
+# radius above the floor is admissible, where the gauge raises SearchFail.
+_REFERENCE_FAN = np.array([1.0, -1.0])
 
 
 def _reference_ftc_widths(F, Fprime, eps, host, xs):
@@ -858,10 +922,8 @@ def test_ftc_gauge_bisection_skips_the_offsets_its_bracket_verified(
     gauge.eval_many(xs)
     assert calls[0] == xs.shape
     fan_points = sum(math.prod(shape) for shape in calls[1:])
-    # 30,280 fan points when every probe checked all 32 offsets; 16,582
-    # once a bisection probe checks only the magnitudes below its bracket's
-    # upper end
-    assert fan_points <= 0.6 * 30_280
+    # two points per probe on the pair x +- r
+    assert fan_points <= 5_952
 
 
 def _x32_sin(x):
@@ -925,14 +987,15 @@ def test_ftc_gauge_invalid_gauge_comes_from_the_primitive_s_error():
 
 
 def test_ftc_gauge_second_stage_decides_on_a_narrow_bump():
-    # The bump at 0.625 sits on the inner offset x + r/8 of the probe at
-    # x = 0.5, r = 1, and on an inner offset of every probe down to r = 1/4,
-    # while x +- r never meets it.  Only r = 1/16 clears it.
+    # The bump at 0.625 lies within r of x = 0.5 for every radius r >= 1/8,
+    # but the pair x +- r never meets it: every point gets the whole host.
+    # What the pair does not sample, the audit of the families the gauge
+    # builds reads at the interval ends.
     F = lambda x: x + np.where(np.abs(x - 0.625) < 1e-9, 1.0, 0.0)
     Fp = lambda x: np.ones_like(x)
     xs = np.array([0.5, 0.25, 0.875])
     ref = _reference_ftc_widths(F, Fp, 1e-2, (0.0, 1.0), xs)
-    assert ref[0] == 2.0 ** -4
+    assert ref.tolist() == [1.0, 1.0, 1.0]
     fp_calls = []
     gauge = ftc_gauge(F, _counted(Fp, fp_calls), [], 1e-2, (0.0, 1.0))
     assert gauge.eval_many(xs).tobytes() == ref.tobytes()

@@ -12,6 +12,7 @@ import pytest
 from gaugeint import (
     AmbientGauge,
     ArcFunction,
+    AuditFail,
     CauchyFail,
     Curve,
     Current1D,
@@ -33,12 +34,14 @@ from gaugeint import (
     monotone_convergence_harness,
     piece_as_current,
     restrict,
+    saks_henstock_audit,
     saks_henstock_hkp_audit,
     theta_charge,
     uniform_current_schedule,
 )
 import gaugeint.currents1d as cur_module
 import gaugeint.hkp_integral as hkp_module
+from gaugeint.hk_core import TaggedFamily1D, ftc_gauge
 from gaugeint.hkp_integral import REPORT_COLUMNS, REPORT_PREAMBLE, _certify_each
 
 # seed gap for a Lipschitz integrand is about Lip * h * length, so the
@@ -261,6 +264,67 @@ def test_ftc_verify_discrepancy_monotone_within_certificates(circle16):
         assert r["discrepancy"] < eps
     for ra, rb in zip(rows, rows[1:]):
         assert rb["discrepancy"] <= ra["discrepancy"] + ra["gap"] + rb["gap"]
+
+
+# two open segments, the second of multiplicity 2; along each, the arc
+# primitive F and its derivative, so that F's increments are the integral
+_AUDIT_T = Current1D([(Curve(np.array([[0.0, 0.0], [1.0, 0.0]])), 1),
+                      (Curve(np.array([[2.0, 0.0], [2.0, 3.0]])), 2)])
+_AUDIT_F = {0: lambda s: np.asarray(s, dtype=float) ** 2,
+            1: lambda s: 0.5 * np.asarray(s, dtype=float) ** 2}
+_AUDIT_FP = {0: lambda s: 2.0 * np.asarray(s, dtype=float),
+             1: lambda s: np.asarray(s, dtype=float)}
+
+
+def _audit_schedule(carried=None):
+    # proof gauges at eps/8, so that the weighted audit stays below eps/2;
+    # ``carried`` replaces the pair component 1's gauge carries
+    def build(ci, eps):
+        gauge = ftc_gauge(_AUDIT_F[ci], _AUDIT_FP[ci], [], eps / 8.0,
+                          (0.0, _AUDIT_T.components[ci][0].length),
+                          name=f"arc{ci}")
+        if ci == 1 and carried is not None:
+            object.__setattr__(gauge, "_ftc_pair", carried)
+        return gauge
+
+    return arc_gauge_schedule({ci: (lambda eps, ci=ci: build(ci, eps))
+                               for ci in (0, 1)})
+
+
+def test_chain_audit_weights_each_component_by_multiplicity():
+    eps = 1e-2
+    sched = _audit_schedule()
+    res = hkp_integrate(ArcFunction(_AUDIT_FP), _AUDIT_T, mass_charge(),
+                        sched, eps)
+    assert abs(res.value - 10.0) < eps
+    audits = []
+    for orders in (("left", "declared"), ("right", "reversed")):
+        fam = howard_cousin_current(_AUDIT_T, sched.gauge(eps), mass_charge(),
+                                    eps / 4.0, tag_order=orders[0],
+                                    zero_order=orders[1])
+        terms = []
+        for ci, (curve, m) in enumerate(_AUDIT_T.components):
+            rows = fam.ci == ci
+            arcs = TaggedFamily1D((0.0, curve.length), fam.s1[rows],
+                                  fam.s2[rows], fam.tag_s[rows])
+            terms.append(m * saks_henstock_audit(_AUDIT_FP[ci], _AUDIT_F[ci],
+                                                 arcs))
+        assert min(terms) > 0.0
+        audits.append(math.fsum(terms))
+    assert res.certificate.audit == max(audits)
+    assert res.certificate.audit < eps / 2.0
+
+
+def test_chain_audit_fail_names_the_component_gauge():
+    # component 1's gauge carries s^2 as the primitive of s
+    sched = _audit_schedule(carried=(_AUDIT_F[0], _AUDIT_FP[1]))
+    with pytest.raises(AuditFail, match=r"^arc1: Saks-Henstock audit "):
+        hkp_integrate(ArcFunction(_AUDIT_FP), _AUDIT_T, mass_charge(), sched,
+                      1e-2)
+    # the same chain through a uniform gauge is not audited
+    res = hkp_integrate(ArcFunction(_AUDIT_FP), _AUDIT_T, mass_charge(),
+                        uniform_current_schedule(2.5e-4), 1e-2)
+    assert res.certificate.audit is None
 
 
 def test_ftc_verify_rejects_positive_gauge_at_exceptional(segment345):

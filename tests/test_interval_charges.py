@@ -22,6 +22,7 @@ from gaugeint import interval_charges
 from gaugeint.errors import TraitViolation
 from gaugeint.hk_core import howard_cousin_family
 from gaugeint.interval_charges import IntervalCharge, IntervalUnion
+from gaugeint.sums import compensated_sum
 
 
 def test_union_validates_overlap():
@@ -39,6 +40,36 @@ def test_charge_from_primitive_recovers_increment():
     G = charge_from_primitive(F, (0.0, 2.0))
     # exact recovery on a single interval, bit for bit
     assert G.eval_one(0.3, 1.7) == F(1.7) - F(0.3)
+
+
+def _charge_from_primitive_loop(F, intervals):
+    # the charge as a generator of two F calls per interval
+    return compensated_sum(float(F(d)) - float(F(c)) for c, d in intervals)
+
+
+def _counted_sin(x):
+    _counted_sin.calls += 1
+    return np.sin(3.0 * np.asarray(x, dtype=float)) * np.asarray(x) ** 2
+
+
+@pytest.mark.parametrize("F, calls_per_union", [
+    (lambda x: math.sin(3.0 * x) * x * x, None),     # scalars only
+    (_counted_sin, 1),                               # arrays
+], ids=["scalar_only", "array"])
+def test_charge_from_primitive_matches_the_per_interval_loop(F,
+                                                             calls_per_union):
+    G = charge_from_primitive(F, (0.0, 2.0))
+    rng = np.random.default_rng(5)
+    # 600 intervals take the array sum's exponent buckets
+    for n in (1, 7, 600):
+        cuts = np.sort(rng.uniform(0.0, 2.0, 2 * n)).tolist()
+        intervals = list(zip(cuts[0::2], cuts[1::2]))
+        want = _charge_from_primitive_loop(F, intervals)
+        _counted_sin.calls = 0
+        assert G.union_value(intervals).hex() == want.hex()
+        if calls_per_union is not None:
+            assert _counted_sin.calls == calls_per_union
+    assert G.union_value([]) == 0.0
 
 
 def test_trait_validation_catches_fake_additive():

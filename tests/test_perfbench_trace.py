@@ -8,7 +8,8 @@ workload loads gauges, carves and audits, the mesh workload Cousin
 bisection and summation on meshes up to 2^20 cells, and the chain workload
 the wrapped chain names: the row controls' eval_one, eval_many and
 union_value, theta_u, howard_cousin_current, PieceCharge.__call__ and
-on_family, and hkp_integrate.
+on_family, and hkp_integrate.  The probe workload's set-up builds the
+square-sine FTC families whose audits its ops read.
 """
 
 import json
@@ -22,7 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("workload",
-                         ["interval_ftc", "interval_mesh", "chain_hkp"])
+                         ["interval_ftc", "interval_mesh", "chain_hkp",
+                          "probes"])
 def test_traced_run_exits_clean(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
