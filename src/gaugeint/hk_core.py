@@ -22,8 +22,9 @@ Numerical conventions (fixed so runs are reproducible):
     where the function accepts arrays, else one call per point,
   * a gauge is one callable, evaluated through the same helper, so one
     written for a float and its array form build the same family,
-  * bisection runs level by level: each candidate column of one depth is
-    one ``Gauge.eval_many`` call,
+  * bisection runs level by level over every segment of a construction
+    at once: each candidate column of one depth is one ``Gauge.eval_many``
+    call for the whole host,
   * bisection tag candidates tried left endpoint, midpoint, right endpoint
     for the primary seed and in reversed order for the certification seed,
   * dyadic radius searches from the host length down to 1e-12 times the
@@ -280,6 +281,12 @@ _ZERO_ORDERS = ("declared", "reversed")
 # ``_shared_seeds``.
 _SEED_STORE: ContextVar = ContextVar("gaugeint_seed_store", default=None)
 
+# The segments the Howard-Cousin construction being built bisects, set by
+# ``howard_cousin_family`` around its ``cousin_partition`` calls: (gauge,
+# segments, (max_depth, max_nodes), where the first call leaves the later
+# segments' families outside a seed store).
+_PENDING: ContextVar = ContextVar("gaugeint_pending_segments", default=None)
+
 
 @contextmanager
 def _shared_seeds():
@@ -287,19 +294,51 @@ def _shared_seeds():
 
     ``_certify`` opens one around the two seeds' builds at the smallest
     tau, and one of its own around each larger tau's left build.  Inside
-    it a left-first ``cousin_partition`` also works out the right-first
-    tags on its mesh and leaves them in the store, and a right-first call
-    on the same gauge object, segment and budgets takes them instead of
-    bisecting again.  The store also keeps each carve
-    ``_carve_intervals`` makes, so a seed asking for the same carve around
-    a zero point (every host with one zero) takes it instead of searching
-    again.  Nothing outlives the block.
+    it a left-first bisection pass also works out the right-first tags on
+    its mesh and leaves them in the store, one entry per segment, and a
+    right-first ``cousin_partition`` call on the same gauge object,
+    segment and budgets takes them instead of bisecting again.  The store
+    also keeps each carve ``_carve_intervals`` makes, so a seed asking for
+    the same carve around a zero point (every host with one zero) takes it
+    instead of searching again.  Nothing outlives the block.
     """
     token = _SEED_STORE.set({})
     try:
         yield
     finally:
         _SEED_STORE.reset(token)
+
+
+def _segment_error(gauge: Gauge, a: float, b: float) -> Optional[InvalidGauge]:
+    """Why ``cousin_partition`` cannot bisect [a, b] with this gauge, or None."""
+    if any(a < y < b for y in gauge.zero_set):
+        return InvalidGauge("gauge vanishes inside the host; use howard_cousin_family")
+    if not (gauge.a <= a < b <= gauge.b):
+        return InvalidGauge(f"host [{a}, {b}] not inside gauge host {gauge.host}")
+    return None
+
+
+def _served(entry, tag_order: str) -> bool:
+    """Whether a call in this tag order takes the seed entry: a family
+    (gauge, lefts, rights, tags per order) or an error (gauge, error)."""
+    return entry is not None and (len(entry) == 2 or tag_order in entry[3])
+
+
+def _take(sink: dict, key: tuple, tag_order: str):
+    """(lefts, rights, tags) an earlier pass left in ``sink`` for the
+    segment ``key`` and this tag order, taken out of it, or None; raises
+    the segment's error where that pass failed on it."""
+    entry = sink.get(key)
+    if not _served(entry, tag_order):
+        return None
+    if len(entry) == 2:
+        del sink[key]
+        raise entry[1]
+    _gauge, lefts, rights, tags = entry
+    out = (lefts, rights, tags.pop(tag_order))
+    if not tags:
+        del sink[key]
+    return out
 
 
 def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
@@ -312,48 +351,90 @@ def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
     positive gauge: a declared zero set means no partition can be fine and
     the caller should be using howard_cousin_family instead.
 
+    ``howard_cousin_family`` calls this once per segment between its
+    carves.  The first call of a construction bisects that segment and
+    every later one in one pass (``_cousin_vector`` over all of them) and
+    leaves each later segment's family for its own call to take, so one
+    depth of the whole construction is one gauge batch per candidate
+    column.  The budgets count per segment, and a segment the pass failed
+    on raises its own error when its call comes, as it would alone; where
+    the gauge itself fails (``InvalidGauge`` and the like), the call falls
+    back to bisecting its segment alone, so the error is the loop's.
+
     Inside a seed store (``_certify`` opens one around the two seeds'
     builds, and the CLI ``partition`` command around its own) the two
-    seeds share one bisection pass per segment: which intervals fit does
-    not depend on the candidate order, so the left-first call also picks
-    the right-first tags on the same mesh, and the right-first call on the
-    same gauge object, segment and budgets returns them, bit for bit the
-    family it would have built.  The store only assumes that, within the
-    one call, the gauge gives a point the same value whatever batch it
-    comes in; it carries nothing from one call to the next, and a segment
-    the seeds carve differently is bisected by each seed on its own.  The
-    same store holds the carves (see ``howard_cousin_family``).  Outside a
-    seed store every call bisects alone and evaluates only the points its
-    own order needs.
+    seeds share each bisection pass: which intervals fit does not depend
+    on the candidate order, so a left-first pass also picks the
+    right-first tags on the same mesh, and a right-first call on the same
+    gauge object, segment and budgets returns them, bit for bit the family
+    it would have built; the right-first pass bisects only the segments
+    the left-first one did not.  The store only assumes that, within one
+    pass, the gauge gives a point the same value whatever batch it comes
+    in; a segment the seeds carve differently is bisected by each seed on
+    its own.  The same store holds the carves (see
+    ``howard_cousin_family``).  Outside a seed store every pass evaluates
+    only the points its own order needs.
     """
     if tag_order not in _TAG_ORDERS:
         raise ValueError(f"tag order must be one of {_TAG_ORDERS}")
     a, b = float(host[0]), float(host[1])
-    if any(a < y < b for y in gauge.zero_set):
-        raise InvalidGauge("gauge vanishes inside the host; use howard_cousin_family")
-    if not (gauge.a <= a < b <= gauge.b):
-        raise InvalidGauge(f"host [{a}, {b}] not inside gauge host {gauge.host}")
+    error = _segment_error(gauge, a, b)
+    if error is not None:
+        raise error
     store = _SEED_STORE.get()
-    # the entry holds the gauge, so its id is not reused while the key lives
-    key = (id(gauge), a, b, max_depth, max_nodes)
-    if store is not None and tag_order == "right" and key in store:
-        _gauge, lefts, rights, tags = store.pop(key)
-        return TaggedFamily1D((a, b), lefts, rights, tags)
+    sink, later = store, ()
+    pending = _PENDING.get()
+    if pending is not None:
+        p_gauge, p_segments, p_budgets, p_sink = pending
+        if p_gauge is gauge and p_budgets == (max_depth, max_nodes) \
+                and (a, b) in p_segments:
+            later = p_segments[p_segments.index((a, b)) + 1:]
+            if sink is None:
+                sink = p_sink
+
+    # an entry holds the gauge, so its id is not reused while the key lives
+    def key(seg):
+        return (id(gauge), seg[0], seg[1], max_depth, max_nodes)
+
+    if sink is not None:
+        taken = _take(sink, key((a, b)), tag_order)
+        if taken is not None:
+            return TaggedFamily1D((a, b), *taken)
+    segs = [(a, b)]
+    for seg in later:
+        # a segment its own call would refuse is left to that call
+        if _segment_error(gauge, *seg) is not None:
+            break
+        if not _served(sink.get(key(seg)), tag_order):
+            segs.append(seg)
     orders = ("left", "right") if store is not None and tag_order == "left" \
         else (tag_order,)
+    A, B = (np.array(ends) for ends in zip(*segs))
     # the level arrays are freed when _cousin_vector returns, before the
-    # family is assembled
-    done_l, done_r, done_t = _cousin_vector(a, b, gauge, orders, max_depth,
-                                            max_nodes)
-    if not done_l:
-        raise DepthExceeded(f"{gauge.name}: bisection produced no intervals")
-    # one sort for every array; each depth's block is already sorted
-    lefts = np.concatenate(done_l)
-    order = np.argsort(lefts, kind="stable")
-    lefts, rights = lefts[order], np.concatenate(done_r)[order]
-    tags = [np.concatenate(t)[order] for t in done_t]
+    # families are assembled
+    try:
+        done, k, error = _cousin_vector(A, B, gauge, orders, max_depth,
+                                        max_nodes)
+    except GaugeIntError:
+        if len(segs) == 1:
+            raise
+        # the gauge failed somewhere: this segment is bisected alone and
+        # each later one by its own call, so every call raises what a loop
+        # over the segments would
+        segs, A = segs[:1], A[:1]
+        done, k, error = _cousin_vector(A, B[:1], gauge, orders, max_depth,
+                                        max_nodes)
+    built = _families(A, k, *done)
+    if not built:
+        raise error or DepthExceeded(
+            f"{gauge.name}: bisection produced no intervals")
+    for seg, (lefts, rights, tags) in zip(segs[1:], built[1:]):
+        sink[key(seg)] = (gauge, lefts, rights, dict(zip(orders, tags)))
+    if error is not None:
+        sink[key(segs[len(built)])] = (gauge, error)
+    lefts, rights, tags = built[0]
     if len(orders) == 2:
-        store[key] = (gauge, lefts, rights, tags[1])
+        store[key((a, b))] = (gauge, lefts, rights, {"right": tags[1]})
     return TaggedFamily1D((a, b), lefts, rights, tags[0])
 
 
@@ -371,37 +452,69 @@ def _interleave(first, second) -> np.ndarray:
     return out
 
 
-def _cousin_vector(a, b, gauge, orders, max_depth, max_nodes):
-    """Bisection, one numpy pass per depth, for each tag order in ``orders``.
+def _segment_of(A, x) -> int:
+    """Index of the segment, of those starting at the sorted ``A``, holding x."""
+    return int(np.searchsorted(A, x, side="right")) - 1
 
+
+def _cousin_vector(A, B, gauge, orders, max_depth, max_nodes):
+    """Bisection of the disjoint segments [A[i], B[i]], sorted by A, one
+    numpy pass per depth, for each tag order in ``orders``.
+
+    The frontier holds every open interval of every segment, in order, so
+    each candidate column of one depth is one gauge batch for all of them.
     ``gC``, ``gM`` and ``gD`` hold the gauge at each interval's left end,
     midpoint and right end, nan until evaluated (nan never fits).  An order
     tries its near end first (C for "left", D for "right"), then the
     midpoint where the near end does not fit, then its far end where
     neither does.  A child inherits its ends' values from its open parent,
-    which evaluated all three, so below the root only midpoints are
+    which evaluated all three, so below the roots only midpoints are
     evaluated.  Whether an interval fits does not depend on the order, so
     every order sees the same mesh and only the tags differ; with both
     orders a midpoint is evaluated once, wherever either order needs it.
-    Children sit side by side, so each depth runs left to right.  Returns
-    the fitted intervals as lists of lefts and rights arrays per depth, and
-    per order a list of tag arrays per depth."""
+    Children sit side by side, so each depth runs left to right.
+
+    Each segment has its own node budget; the frontier and each depth's
+    fitted block are sorted, so ``searchsorted`` counts each segment's
+    nodes, once all of them together are over it.  A segment that fails
+    (node budget, depth, float resolution) leaves the frontier together
+    with every segment right of it, so the error kept is the leftmost
+    failing segment's, the one a loop over the segments would meet first,
+    and the segments left of it finish.  Returns the fitted intervals (a
+    list of lefts and of rights arrays per depth and, per order, a list of
+    tag arrays per depth), the number k of segments that built, and the
+    error of segment k, or None.
+    """
     left, right = "left" in orders, "right" in orders
     done_l, done_r = [], []
     done_t = tuple([] for _ in orders)
-    C = np.array([a])
-    D = np.array([b])
-    gC = np.array([np.nan])
-    gD = np.array([np.nan])
-    nodes = 0
+    C = A.copy()
+    D = B.copy()
+    gC = np.full(C.shape, np.nan)
+    gD = np.full(C.shape, np.nan)
+    # segments k, k + 1, ... are given up, segment k for ``error``
+    k, error = A.shape[0], None
+    total = 0
     for depth in range(max_depth + 1):
         n = C.shape[0]
         if n == 0:
             break
-        nodes += n
-        if nodes > max_nodes:
-            raise DepthExceeded(f"{gauge.name}: node budget {max_nodes} "
-                                f"exhausted at depth {depth}")
+        total += n
+        # no segment can be over its budget while all of them together
+        # are not; a segment's tree so far is a full binary tree whose
+        # leaves are its fitted and its open intervals, so it has visited
+        # twice as many nodes as those, less one
+        over = () if total <= max_nodes else np.flatnonzero(2 * sum(
+            np.searchsorted(X, B[:k]) - np.searchsorted(X, A[:k])
+            for X in done_l + [C]) - 1 > max_nodes)
+        if len(over):
+            k = int(over[0])
+            error = DepthExceeded(f"{gauge.name}: node budget {max_nodes} "
+                                  f"exhausted at depth {depth}")
+            n = int(np.searchsorted(C, A[k]))
+            if n == 0:
+                break
+            C, D, gC, gD = C[:n], D[:n], gC[:n], gD[:n]
         W = D - C
         M = 0.5 * (C + D)
         gM = np.full(n, np.nan)
@@ -433,24 +546,44 @@ def _cousin_vector(a, b, gauge, orders, max_depth, max_nodes):
                 else:
                     tag = np.where(fitD, D, np.where(fitM, M, C))
                 tags.append(tag[fitted])
-        if open_mask.any():
-            if depth == max_depth:
-                c0 = float(C[open_mask][0])
-                raise DepthExceeded(f"{gauge.name}: max depth {max_depth} "
-                                    f"reached near {c0!r}")
+        if not open_mask.any():
+            break
+        if depth == max_depth:
+            c0 = float(C[open_mask][0])
+            k = _segment_of(A, c0)
+            error = DepthExceeded(f"{gauge.name}: max depth {max_depth} "
+                                  f"reached near {c0!r}")
+            break
+        Cr, Dr, Mr = C[open_mask], D[open_mask], M[open_mask]
+        if not np.all((Cr < Mr) & (Mr < Dr)):
+            bad = int(np.argmin((Cr < Mr) & (Mr < Dr)))
+            k = _segment_of(A, Cr[bad])
+            error = DepthExceeded(f"{gauge.name}: float resolution exhausted "
+                                  "during bisection")
+            open_mask[int(np.searchsorted(C, A[k])):] = False
             Cr, Dr, Mr = C[open_mask], D[open_mask], M[open_mask]
-            if not np.all((Cr < Mr) & (Mr < Dr)):
-                raise DepthExceeded(f"{gauge.name}: float resolution exhausted "
-                                    "during bisection")
-            # children side by side: C[2i], C[2i+1] are the halves of Cr[i]
-            gMr = gM[open_mask]
-            C, D = _interleave(Cr, Mr), _interleave(Mr, Dr)
-            gC = _interleave(gC[open_mask], gMr)
-            gD = _interleave(gMr, gD[open_mask])
-        else:
-            C = np.empty(0)
-            D = np.empty(0)
-    return done_l, done_r, done_t
+        # children side by side: C[2i], C[2i+1] are the halves of Cr[i]
+        gMr = gM[open_mask]
+        C, D = _interleave(Cr, Mr), _interleave(Mr, Dr)
+        gC = _interleave(gC[open_mask], gMr)
+        gD = _interleave(gMr, gD[open_mask])
+    return (done_l, done_r, done_t), k, error
+
+
+def _families(A, k, done_l, done_r, done_t) -> list:
+    """(lefts, rights, tags per order) of the segments ``0 .. k-1`` of a
+    bisection pass, from its fitted intervals per depth.  One sort for
+    every array (each depth's block is already sorted); the intervals a
+    given-up segment fitted before it failed are dropped."""
+    if not done_l:
+        return []
+    lefts = np.concatenate(done_l)
+    order = np.argsort(lefts, kind="stable")
+    lefts, rights = lefts[order], np.concatenate(done_r)[order]
+    tags = [np.concatenate(t)[order] for t in done_t]
+    starts = np.searchsorted(lefts, A).tolist() + [lefts.shape[0]]
+    return [(lefts[s:e], rights[s:e], tuple(t[s:e] for t in tags))
+            for s, e in zip(starts[:k], starts[1:k + 1])]
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +683,16 @@ class PrimitiveControl:
         return float(self.F(d)) - float(self.F(c))
 
     def eval_many(self, cs, ds) -> np.ndarray:
-        return _eval_points(self.F, ds) - _eval_points(self.F, cs)
+        # one call on the stacked ends: the rights, then the lefts
+        ds = np.asarray(ds, dtype=float)
+        vals = _eval_points(self.F, np.concatenate([ds, np.asarray(cs, float)]))
+        return vals[:ds.shape[0]] - vals[ds.shape[0]:]
 
     def union_value(self, intervals: Sequence[tuple]) -> float:
-        return compensated_sum(self.eval_one(c, d) for c, d in intervals)
+        if not intervals:
+            return compensated_sum(())
+        ends = np.array(intervals, dtype=float)
+        return compensated_sum(self.eval_many(ends[:, 0], ends[:, 1]))
 
 
 def _refine_carve(control, y, lo, hi, w, wcap, budget, zoom_rounds: int = 8,
@@ -762,6 +901,13 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
     gauge is positive.  The remainder is exactly the union of carves and its
     control value is returned after being checked against tau.
 
+    The segments between the carves are bisected in one pass: this calls
+    ``cousin_partition`` once per segment, left to right, and the first
+    call bisects them all, so each depth of the construction is one gauge
+    batch per candidate column however many segments there are.  The
+    families, the budgets (per segment) and the error raised are those of
+    a loop of lone ``cousin_partition`` calls.
+
     The seed store ``_certify`` opens around the two seeds' builds also
     holds the carves: a seed asking for a carve with the same control,
     window and budgets as one already made takes it, bit for bit.  With
@@ -803,9 +949,14 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
     if cur < b:
         segments.append((cur, b))
 
-    parts = [cousin_partition(seg, gauge, tag_order=tag_order,
-                              max_depth=max_depth, max_nodes=max_nodes)
-             for seg in segments]
+    # the first call bisects every segment in one pass; see cousin_partition
+    token = _PENDING.set((gauge, segments, (max_depth, max_nodes), {}))
+    try:
+        parts = [cousin_partition(seg, gauge, tag_order=tag_order,
+                                  max_depth=max_depth, max_nodes=max_nodes)
+                 for seg in segments]
+    finally:
+        _PENDING.reset(token)
     fam = TaggedFamily1D((a, b), [], [], []).merged(*parts)
     carve_fam = TaggedFamily1D((a, b),
                                [c for c, _d, _y in carves],

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import re
@@ -408,6 +409,233 @@ def test_seed_store_does_not_outlive_the_call(monkeypatch):
             del gauge, control, out
             gc.collect()
             assert [ref() for ref in refs] == [None, None]
+
+
+# ---------------------------------------------------------------------------
+# one bisection pass per construction
+
+def _segments(fc):
+    """The segments between a construction's carves, as it bisects them."""
+    a, b = fc.family.host
+    ends = [a] + [x for cd in zip(fc.carves.lefts.tolist(),
+                                  fc.carves.rights.tolist()) for x in cd] + [b]
+    return [(c, d) for c, d in zip(ends[0::2], ends[1::2]) if c < d]
+
+
+def _per_segment(fc, gauge, tag_order, **budgets):
+    """The construction's family as a loop of lone per-segment partitions."""
+    parts = [cousin_partition(seg, gauge, tag_order=tag_order, **budgets)
+             for seg in _segments(fc)]
+    return TaggedFamily1D(fc.family.host, [], [], []).merged(*parts)
+
+
+def _assert_same_family(got, want):
+    for attr in ("lefts", "rights", "tags"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+def _one_pass_case(name):
+    """(gauge, control, integrand, eps) of a multi-segment construction."""
+    if name == "sqsin":
+        pair = gallery.square_sine_pair()
+        sched = ftc_schedule(pair["F"], pair["Fprime"], [0.0], (-0.9, 0.8))
+        return sched.gauge(1e-2), sched.control, pair["Fprime"], 1e-2
+    d = gallery.dirichlet(int(name[-1]))
+    return d["schedule"].gauge(1e-3), d["schedule"].control, d["fn"], 1e-3
+
+
+# every seed, in an order where a right-first build in a seed store finds
+# both segments a left-first build left there and segments it did not
+_ALL_SEEDS = (("left", "declared"), ("right", "reversed"),
+              ("left", "reversed"), ("right", "declared"))
+
+
+def _store(shared):
+    return hk_core._shared_seeds() if shared else contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["alone", "seed_store"])
+@pytest.mark.parametrize("name", ["dirichlet5", "dirichlet6", "dirichlet7",
+                                  "sqsin"])
+def test_one_pass_build_matches_per_segment_partitions(name, shared):
+    gauge, control, f, eps = _one_pass_case(name)
+    with _store(shared):
+        built = [(t, howard_cousin_family(gauge.host, gauge, control, eps / 4.0,
+                                          tag_order=t, zero_order=z,
+                                          f_weight=f, eps_weight=eps / 2.0))
+                 for t, z in _ALL_SEEDS]
+    for tag_order, fc in built:
+        assert len(_segments(fc)) >= 2
+        _assert_same_family(fc.family, _per_segment(fc, gauge, tag_order))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["alone", "seed_store"])
+def test_one_pass_build_with_no_segment_left(shared):
+    # the null control lets each Dirichlet carve fill its window, so the
+    # carves cover the host and nothing is bisected
+    d = gallery.dirichlet(7)
+    gauge, control = d["schedule"].gauge(1e-3), d["schedule"].control
+    with _store(shared):
+        for t, z in _ALL_SEEDS:
+            fc = howard_cousin_family(gauge.host, gauge, control, 2.5e-4,
+                                      tag_order=t, zero_order=z)
+            assert fc.family.n == 0 and fc.partition.is_partition
+    res = full_family_integrate(d["fn"], control, d["schedule"], 1e-3)
+    assert res.value == 0.0 and res.certificate.sizes == (0, 0)
+
+
+def test_one_pass_gauge_calls_bounded_by_depth():
+    # one gauge batch per candidate column and depth for the whole host,
+    # where a loop over its 18 segments makes one per segment; alone, the
+    # pass evaluates exactly the points the loop evaluates
+    d = gallery.dirichlet(7)
+    plain = d["schedule"].gauge(1e-3)
+    calls = []
+
+    def counted(xs):
+        calls.append(np.asarray(xs, dtype=float).tolist())
+        return plain.fn(xs)
+
+    gauge = Gauge(plain.a, plain.b, counted, plain.zero_set, name=plain.name)
+    for shared in (False, True):
+        with _store(shared):
+            del calls[:]
+            fc = howard_cousin_family(gauge.host, gauge, d["schedule"].control,
+                                      2.5e-4, f_weight=d["fn"], eps_weight=5e-4)
+        segs = _segments(fc)
+        assert len(segs) == 18
+        A = np.array([c for c, _d in segs])
+        widths = np.array([d_ - c for c, d_ in segs])
+        seg = np.searchsorted(A, fc.family.lefts, side="right") - 1
+        depth = np.rint(np.log2(widths[seg] / fc.family.widths)).astype(int)
+        assert len(calls) <= 4 * (depth.max() + 1)
+        if not shared:
+            one_pass = sorted(x for xs in calls for x in xs)
+            del calls[:]
+            _per_segment(fc, gauge, "left")
+            assert one_pass == sorted(x for xs in calls for x in xs)
+            assert len(calls) > 4 * (depth.max() + 1)
+
+
+def _vee(xs):
+    return np.minimum(0.01, np.abs(np.asarray(xs, dtype=float) - 0.5))
+
+
+# the carve around 0.5 under PrimitiveControl(x) at tau 0.1 leaves the two
+# segments [0, c] and [d, 1]
+_X = PrimitiveControl(lambda x: x)
+
+
+def test_node_budget_counts_per_segment():
+    gauge = Gauge(0.0, 1.0, _vee, (0.5,), name="vee")
+    fc = howard_cousin_family((0.0, 1.0), gauge, _X, 0.1)
+    # a bisection tree with n leaves has 2n - 1 nodes
+    nodes = [2 * cousin_partition(seg, gauge).n - 1 for seg in _segments(fc)]
+    assert len(nodes) == 2 and max(nodes) < sum(nodes)
+    within = howard_cousin_family((0.0, 1.0), gauge, _X, 0.1,
+                                  max_nodes=max(nodes))
+    _assert_same_family(within.family, fc.family)
+    with pytest.raises(DepthExceeded, match="^" + re.escape(
+            f"vee: node budget {max(nodes) - 1} exhausted at depth ")):
+        howard_cousin_family((0.0, 1.0), gauge, _X, 0.1,
+                             max_nodes=max(nodes) - 1)
+
+
+def _per_segment_error(gauge, segs, **kw):
+    """The error a loop of lone per-segment partitions raises."""
+    with pytest.raises(Exception) as info:
+        for seg in segs:
+            cousin_partition(seg, gauge, **kw)
+    return info.value
+
+
+@pytest.mark.parametrize("failing", ["left", "right", "both"])
+def test_one_pass_raises_the_leftmost_segments_error(failing):
+    # the left segment needs depth 16 on [0.1, 0.2]; the right one runs
+    # out of 3000 nodes at depth 11, before the left one reaches depth 12
+    def width(xs):
+        xs = np.asarray(xs, dtype=float)
+        w = _vee(xs)
+        if failing != "right":
+            w = np.where((0.1 <= xs) & (xs <= 0.2), 1e-5, w)
+        if failing != "left":
+            w = np.where(xs > 0.5, 1e-6, w)
+        return w
+
+    gauge = Gauge(0.0, 1.0, width, (0.5,), name="steep")
+    segs = _segments(howard_cousin_family((0.0, 1.0), Gauge(0.0, 1.0, _vee, (0.5,)),
+                                          _X, 0.1))
+    budgets = {"max_depth": 12, "max_nodes": 3000}
+    for shared in (False, True):
+        for tag_order in ("left", "right"):
+            want = _per_segment_error(gauge, segs, tag_order=tag_order,
+                                      **budgets)
+            assert isinstance(want, DepthExceeded)
+            assert ("max depth 12" in str(want)) == (failing != "right")
+            with _store(shared), pytest.raises(DepthExceeded) as info:
+                howard_cousin_family((0.0, 1.0), gauge, _X, 0.1,
+                                     tag_order=tag_order, **budgets)
+            assert str(info.value) == str(want)
+
+
+@pytest.mark.parametrize("tag_order", ["left", "right"])
+def test_one_pass_gauge_error_is_the_loops(tag_order):
+    # an undeclared zero at 1.0 sits in the right segment's first batch;
+    # a loop over the segments meets the left segment's own failure first:
+    # the zero at 0.0 (right-first, its far end), or the depth budget
+    segs = _segments(howard_cousin_family(
+        (0.0, 1.0), Gauge(0.0, 1.0, _vee, (0.5,)), _X, 0.1))
+    for zeros, max_depth, error, message in (
+            ((0.0, 1.0), 64, InvalidGauge,
+             "ends vanishes at undeclared point 0.0"),
+            ((1.0,), 12, DepthExceeded, "ends: max depth 12 reached near ")):
+        def width(xs):
+            xs = np.asarray(xs, dtype=float)
+            w = np.where((0.1 <= xs) & (xs <= 0.2), 1e-5, _vee(xs))
+            return np.where(np.isin(xs, zeros), 0.0, w)
+
+        gauge = Gauge(0.0, 1.0, width, (0.5,), name="ends")
+        want = _per_segment_error(gauge, segs, tag_order=tag_order,
+                                  max_depth=max_depth)
+        assert type(want) is error and str(want).startswith(message)
+        for shared in (False, True):
+            with _store(shared), pytest.raises(error) as info:
+                howard_cousin_family((0.0, 1.0), gauge, _X, 0.1,
+                                     tag_order=tag_order, max_depth=max_depth)
+            assert str(info.value) == str(want)
+
+
+def _primitive_control_loop(F, cs, ds):
+    # the control as two F calls per interval
+    return [float(F(d)) - float(F(c)) for c, d in zip(cs, ds)]
+
+
+def _counted_cube(x):
+    _counted_cube.calls += 1
+    return np.sin(3.0 * np.asarray(x, dtype=float)) * np.asarray(x) ** 3
+
+
+@pytest.mark.parametrize("F, calls", [
+    (lambda x: math.sin(3.0 * x) * x ** 3, None),    # scalars only
+    (_counted_cube, 1),                              # arrays
+], ids=["scalar_only", "array"])
+def test_primitive_control_one_F_call(F, calls):
+    control = PrimitiveControl(F)
+    rng = np.random.default_rng(7)
+    # 600 intervals take the array sum's exponent buckets
+    for n in (1, 7, 600):
+        cuts = np.sort(rng.uniform(-1.0, 2.0, 2 * n))
+        cs, ds = cuts[0::2], cuts[1::2]
+        want = _primitive_control_loop(F, cs, ds)
+        _counted_cube.calls = 0
+        got = control.eval_many(cs, ds)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        intervals = list(zip(cs.tolist(), ds.tolist()))
+        assert control.union_value(intervals).hex() == \
+            compensated_sum(want).hex()
+        if calls is not None:
+            assert _counted_cube.calls == 2 * calls
+    assert control.union_value([]) == 0.0
 
 
 def test_as_schedule_takes_each_schedule_form():

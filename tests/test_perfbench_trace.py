@@ -34,3 +34,31 @@ def test_traced_run_exits_clean(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_cousin_intervals_match_sizes_on_dirichlet_ops(monkeypatch):
+    # each Dirichlet construction bisects all its segments in its first
+    # cousin_partition call; the traced interval count still covers every
+    # family interval: the certificate's sizes less the carve pairs
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import gaugeint
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer()
+    ops = [op for op in workloads.build("interval_mesh", 1, user=tracer.user)
+           if op.kind == "hk_integrate" and "dirichlet" in op.label]
+    assert len(ops) == 6
+    inst = tracing.install(tracer, gaugeint)
+    try:
+        tracer.active = True
+        for op in ops:
+            tracer.begin_op(0)
+            res = op.call()
+            c = tracer.end_op()
+            assert c["carve.pairs"] > 0, op.label
+            assert c["cousin.intervals"] == \
+                sum(res.certificate.sizes) - c["carve.pairs"], op.label
+    finally:
+        tracer.active = False
+        inst.uninstall()
