@@ -80,10 +80,10 @@ class Curve:
     without wraparound bookkeeping.
     """
 
-    __slots__ = ("vertices", "closed", "simple", "source", "source_tol",
+    __slots__ = ("vertices", "closed", "source", "source_tol",
                  "seg_vec", "seg_len", "cum", "length")
 
-    def __init__(self, vertices, *, closed: bool = False, simple: bool = True,
+    def __init__(self, vertices, *, closed: bool = False,
                  source: Optional[str] = None,
                  source_tol: Optional[float] = None):
         V = np.asarray(vertices, dtype=float)
@@ -95,7 +95,6 @@ class Curve:
             raise ValueError("closed curve must repeat its first vertex last")
         self.vertices = V
         self.closed = bool(closed)
-        self.simple = bool(simple)
         self.source = source
         self.source_tol = source_tol
         self.seg_vec = V[1:] - V[:-1]
@@ -138,9 +137,6 @@ class Curve:
         idx = self._seg_index(ss)
         return self.seg_vec[idx] / self.seg_len[idx][:, None]
 
-    def tangent_at(self, s: float) -> np.ndarray:
-        return self.tangent_at_many(np.array([float(s)]))[0]
-
     def nearest(self, x) -> tuple:
         """(distance, arc coordinate) of the closest polyline point to x."""
         x = np.asarray(x, dtype=float)
@@ -155,11 +151,6 @@ class Curve:
 
     def bbox(self) -> tuple:
         return (self.vertices.min(axis=0), self.vertices.max(axis=0))
-
-    def reversed(self) -> "Curve":
-        return Curve(self.vertices[::-1].copy(), closed=self.closed,
-                     simple=self.simple, source=self.source,
-                     source_tol=self.source_tol)
 
     @classmethod
     def from_param(cls, fn: Callable[[float], Sequence[float]], *,

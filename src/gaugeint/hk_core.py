@@ -22,9 +22,10 @@ Numerical conventions (fixed so runs are reproducible):
     where the function accepts arrays, else one call per point,
   * a gauge is one callable, evaluated through the same helper, so one
     written for a float and its array form build the same family,
-  * bisection runs level by level over every segment of a construction
-    at once: each candidate column of one depth is one ``Gauge.eval_many``
-    call for the whole host,
+  * a construction makes one ``cousin_partition`` call, on the list of
+    segments between its carves, and bisection runs level by level over
+    all of them at once: each candidate column of one depth is one
+    ``Gauge.eval_many`` call for the whole host,
   * bisection tag candidates tried left endpoint, midpoint, right endpoint
     for the primary seed and in reversed order for the certification seed,
   * dyadic radius searches from the host length down to 1e-12 times the
@@ -243,19 +244,6 @@ class TaggedFamily1D:
         return (self.lefts[0] == a and self.rights[-1] == b
                 and bool(np.all(self.rights[:-1] == self.lefts[1:])))
 
-    def gaps(self) -> list:
-        """Host minus body, as a list of (left, right) intervals."""
-        a, b = self.host
-        out = []
-        cur = a
-        for i in range(self.n):
-            if self.lefts[i] > cur:
-                out.append((cur, float(self.lefts[i])))
-            cur = float(self.rights[i])
-        if cur < b:
-            out.append((cur, b))
-        return out
-
     def is_fine(self, gauge: Gauge) -> bool:
         if self.n == 0:
             return True
@@ -281,12 +269,6 @@ _ZERO_ORDERS = ("declared", "reversed")
 # ``_shared_seeds``.
 _SEED_STORE: ContextVar = ContextVar("gaugeint_seed_store", default=None)
 
-# The segments the Howard-Cousin construction being built bisects, set by
-# ``howard_cousin_family`` around its ``cousin_partition`` calls: (gauge,
-# segments, (max_depth, max_nodes), where the first call leaves the later
-# segments' families outside a seed store).
-_PENDING: ContextVar = ContextVar("gaugeint_pending_segments", default=None)
-
 
 @contextmanager
 def _shared_seeds():
@@ -294,13 +276,14 @@ def _shared_seeds():
 
     ``_certify`` opens one around the two seeds' builds at the smallest
     tau, and one of its own around each larger tau's left build.  Inside
-    it a left-first bisection pass also works out the right-first tags on
-    its mesh and leaves them in the store, one entry per segment, and a
-    right-first ``cousin_partition`` call on the same gauge object,
-    segment and budgets takes them instead of bisecting again.  The store
-    also keeps each carve ``_carve_intervals`` makes, so a seed asking for
-    the same carve around a zero point (every host with one zero) takes it
-    instead of searching again.  Nothing outlives the block.
+    it a left-first ``cousin_partition`` pass also works out the
+    right-first tags on its mesh and leaves one entry per segment, (gauge,
+    lefts, rights, right tags) keyed by the gauge object, the segment and
+    the budgets; a right-first call takes out every segment it finds there
+    instead of bisecting it again.  The store also keeps each carve
+    ``_carve_intervals`` makes, so a seed asking for the same carve around
+    a zero point (every host with one zero) takes it instead of searching
+    again.  Nothing outlives the block.
     """
     token = _SEED_STORE.set({})
     try:
@@ -309,39 +292,22 @@ def _shared_seeds():
         _SEED_STORE.reset(token)
 
 
-def _segment_error(gauge: Gauge, a: float, b: float) -> Optional[InvalidGauge]:
-    """Why ``cousin_partition`` cannot bisect [a, b] with this gauge, or None."""
-    if any(a < y < b for y in gauge.zero_set):
-        return InvalidGauge("gauge vanishes inside the host; use howard_cousin_family")
-    if not (gauge.a <= a < b <= gauge.b):
-        return InvalidGauge(f"host [{a}, {b}] not inside gauge host {gauge.host}")
-    return None
+def _segment_list(host) -> list:
+    """``cousin_partition``'s host as a list of (a, b): the pair itself, or
+    the segments of a list, which must be nonempty, each with a < b, sorted
+    and disjoint (ValueError otherwise)."""
+    if np.ndim(host) == 1 and len(host) == 2:
+        return [(float(host[0]), float(host[1]))]
+    segs = [(float(a), float(b)) for a, b in host]
+    ends = [x for seg in segs for x in seg]
+    if not segs or not all(a < b for a, b in segs) \
+            or not all(x <= y for x, y in zip(ends, ends[1:])):
+        raise ValueError("segments must be a nonempty sorted list of "
+                         f"disjoint (a, b) with a < b, not {segs!r}")
+    return segs
 
 
-def _served(entry, tag_order: str) -> bool:
-    """Whether a call in this tag order takes the seed entry: a family
-    (gauge, lefts, rights, tags per order) or an error (gauge, error)."""
-    return entry is not None and (len(entry) == 2 or tag_order in entry[3])
-
-
-def _take(sink: dict, key: tuple, tag_order: str):
-    """(lefts, rights, tags) an earlier pass left in ``sink`` for the
-    segment ``key`` and this tag order, taken out of it, or None; raises
-    the segment's error where that pass failed on it."""
-    entry = sink.get(key)
-    if not _served(entry, tag_order):
-        return None
-    if len(entry) == 2:
-        del sink[key]
-        raise entry[1]
-    _gauge, lefts, rights, tags = entry
-    out = (lefts, rights, tags.pop(tag_order))
-    if not tags:
-        del sink[key]
-    return out
-
-
-def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
+def cousin_partition(host, gauge: Gauge, *, tag_order: str = "left",
                      max_depth: int = 64, max_nodes: int = 4_000_000) -> TaggedFamily1D:
     """Fine tagged partition of the host by repeated bisection.
 
@@ -351,91 +317,84 @@ def cousin_partition(host: tuple, gauge: Gauge, *, tag_order: str = "left",
     positive gauge: a declared zero set means no partition can be fine and
     the caller should be using howard_cousin_family instead.
 
-    ``howard_cousin_family`` calls this once per segment between its
-    carves.  The first call of a construction bisects that segment and
-    every later one in one pass (``_cousin_vector`` over all of them) and
-    leaves each later segment's family for its own call to take, so one
-    depth of the whole construction is one gauge batch per candidate
-    column.  The budgets count per segment, and a segment the pass failed
-    on raises its own error when its call comes, as it would alone; where
-    the gauge itself fails (``InvalidGauge`` and the like), the call falls
-    back to bisecting its segment alone, so the error is the loop's.
+    The host is (a, b), or a sorted list of disjoint segments (a, b):
+    ``howard_cousin_family`` passes the segments between its carves.  All
+    segments are bisected in one pass (``_cousin_vector``), so one depth is
+    one gauge batch per candidate column however many segments there are,
+    and the result is their families as one family, on the host from the
+    first segment's left end to the last one's right end.  The budgets
+    count per segment, and the error raised is the leftmost failing
+    segment's; where the gauge itself fails (``InvalidGauge`` and the
+    like), each segment is bisected alone, in order, so the error is the
+    one a loop over the segments raises.
 
     Inside a seed store (``_certify`` opens one around the two seeds'
     builds, and the CLI ``partition`` command around its own) the two
     seeds share each bisection pass: which intervals fit does not depend
     on the candidate order, so a left-first pass also picks the
-    right-first tags on the same mesh, and a right-first call on the same
-    gauge object, segment and budgets returns them, bit for bit the family
-    it would have built; the right-first pass bisects only the segments
-    the left-first one did not.  The store only assumes that, within one
-    pass, the gauge gives a point the same value whatever batch it comes
-    in; a segment the seeds carve differently is bisected by each seed on
-    its own.  The same store holds the carves (see
-    ``howard_cousin_family``).  Outside a seed store every pass evaluates
-    only the points its own order needs.
+    right-first tags on the same mesh and leaves them in the store, one
+    entry per segment.  A right-first call on the same gauge object and
+    budgets takes the segments it finds there, bit for bit the families it
+    would have built, and bisects the rest in one right-only pass.  The
+    store only assumes that, within one pass, the gauge gives a point the
+    same value whatever batch it comes in; a segment the seeds carve
+    differently is bisected by each seed on its own.  The same store holds
+    the carves (see ``howard_cousin_family``).  Outside a seed store every
+    pass evaluates only the points its own order needs.
     """
     if tag_order not in _TAG_ORDERS:
         raise ValueError(f"tag order must be one of {_TAG_ORDERS}")
-    a, b = float(host[0]), float(host[1])
-    error = _segment_error(gauge, a, b)
-    if error is not None:
-        raise error
+    segs = _segment_list(host)
+    for a, b in segs:
+        if any(a < y < b for y in gauge.zero_set):
+            raise InvalidGauge("gauge vanishes inside the host; use howard_cousin_family")
+        if not (gauge.a <= a < b <= gauge.b):
+            raise InvalidGauge(f"host [{a}, {b}] not inside gauge host {gauge.host}")
     store = _SEED_STORE.get()
-    sink, later = store, ()
-    pending = _PENDING.get()
-    if pending is not None:
-        p_gauge, p_segments, p_budgets, p_sink = pending
-        if p_gauge is gauge and p_budgets == (max_depth, max_nodes) \
-                and (a, b) in p_segments:
-            later = p_segments[p_segments.index((a, b)) + 1:]
-            if sink is None:
-                sink = p_sink
 
     # an entry holds the gauge, so its id is not reused while the key lives
     def key(seg):
         return (id(gauge), seg[0], seg[1], max_depth, max_nodes)
 
-    if sink is not None:
-        taken = _take(sink, key((a, b)), tag_order)
-        if taken is not None:
-            return TaggedFamily1D((a, b), *taken)
-    segs = [(a, b)]
-    for seg in later:
-        # a segment its own call would refuse is left to that call
-        if _segment_error(gauge, *seg) is not None:
-            break
-        if not _served(sink.get(key(seg)), tag_order):
-            segs.append(seg)
-    orders = ("left", "right") if store is not None and tag_order == "left" \
-        else (tag_order,)
+    parts = {}
+    if store is not None and tag_order == "right":
+        parts = {seg: store.pop(key(seg))[1:] for seg in segs
+                 if key(seg) in store}
+    rest = [seg for seg in segs if seg not in parts]
+    if rest:
+        orders = ("left", "right") if store is not None \
+            and tag_order == "left" else (tag_order,)
+        for seg, (lefts, rights, tags) in zip(
+                rest, _bisect(rest, gauge, orders, max_depth, max_nodes)):
+            parts[seg] = (lefts, rights, tags[0])
+            if len(orders) == 2:
+                store[key(seg)] = (gauge, lefts, rights, tags[1])
+    # one segment's arrays are taken as they are, shared with its entry
+    arrays = (x[0] if len(segs) == 1 else np.concatenate(x)
+              for x in zip(*(parts[seg] for seg in segs)))
+    return TaggedFamily1D((segs[0][0], segs[-1][1]), *arrays)
+
+
+def _bisect(segs, gauge, orders, max_depth, max_nodes) -> list:
+    """(lefts, rights, tags per order) of each segment, bisected in one
+    pass; raises the leftmost failing segment's error.  A GaugeIntError in
+    a pass over several segments sends each back alone, in order, so the
+    error is the one a loop over them raises."""
     A, B = (np.array(ends) for ends in zip(*segs))
     # the level arrays are freed when _cousin_vector returns, before the
     # families are assembled
     try:
-        done, k, error = _cousin_vector(A, B, gauge, orders, max_depth,
-                                        max_nodes)
+        done, error = _cousin_vector(A, B, gauge, orders, max_depth, max_nodes)
     except GaugeIntError:
         if len(segs) == 1:
             raise
-        # the gauge failed somewhere: this segment is bisected alone and
-        # each later one by its own call, so every call raises what a loop
-        # over the segments would
-        segs, A = segs[:1], A[:1]
-        done, k, error = _cousin_vector(A, B[:1], gauge, orders, max_depth,
-                                        max_nodes)
-    built = _families(A, k, *done)
-    if not built:
-        raise error or DepthExceeded(
-            f"{gauge.name}: bisection produced no intervals")
-    for seg, (lefts, rights, tags) in zip(segs[1:], built[1:]):
-        sink[key(seg)] = (gauge, lefts, rights, dict(zip(orders, tags)))
+        return [part for seg in segs
+                for part in _bisect([seg], gauge, orders, max_depth, max_nodes)]
     if error is not None:
-        sink[key(segs[len(built)])] = (gauge, error)
-    lefts, rights, tags = built[0]
-    if len(orders) == 2:
-        store[key((a, b))] = (gauge, lefts, rights, {"right": tags[1]})
-    return TaggedFamily1D((a, b), lefts, rights, tags[0])
+        raise error
+    if not done[0]:
+        raise DepthExceeded(f"{gauge.name}: bisection produced no intervals")
+    return _families(A, *done)
 
 
 def _fill(gauge, vals, xs, mask) -> None:
@@ -482,8 +441,7 @@ def _cousin_vector(A, B, gauge, orders, max_depth, max_nodes):
     failing segment's, the one a loop over the segments would meet first,
     and the segments left of it finish.  Returns the fitted intervals (a
     list of lefts and of rights arrays per depth and, per order, a list of
-    tag arrays per depth), the number k of segments that built, and the
-    error of segment k, or None.
+    tag arrays per depth) and that error, or None.
     """
     left, right = "left" in orders, "right" in orders
     done_l, done_r = [], []
@@ -567,23 +525,20 @@ def _cousin_vector(A, B, gauge, orders, max_depth, max_nodes):
         C, D = _interleave(Cr, Mr), _interleave(Mr, Dr)
         gC = _interleave(gC[open_mask], gMr)
         gD = _interleave(gMr, gD[open_mask])
-    return (done_l, done_r, done_t), k, error
+    return (done_l, done_r, done_t), error
 
 
-def _families(A, k, done_l, done_r, done_t) -> list:
-    """(lefts, rights, tags per order) of the segments ``0 .. k-1`` of a
-    bisection pass, from its fitted intervals per depth.  One sort for
-    every array (each depth's block is already sorted); the intervals a
-    given-up segment fitted before it failed are dropped."""
-    if not done_l:
-        return []
+def _families(A, done_l, done_r, done_t) -> list:
+    """(lefts, rights, tags per order) of each segment of a bisection pass
+    that built them all, from its fitted intervals per depth.  One sort for
+    every array (each depth's block is already sorted)."""
     lefts = np.concatenate(done_l)
     order = np.argsort(lefts, kind="stable")
     lefts, rights = lefts[order], np.concatenate(done_r)[order]
     tags = [np.concatenate(t)[order] for t in done_t]
     starts = np.searchsorted(lefts, A).tolist() + [lefts.shape[0]]
     return [(lefts[s:e], rights[s:e], tuple(t[s:e] for t in tags))
-            for s, e in zip(starts[:k], starts[1:k + 1])]
+            for s, e in zip(starts, starts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -901,12 +856,11 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
     gauge is positive.  The remainder is exactly the union of carves and its
     control value is returned after being checked against tau.
 
-    The segments between the carves are bisected in one pass: this calls
-    ``cousin_partition`` once per segment, left to right, and the first
-    call bisects them all, so each depth of the construction is one gauge
-    batch per candidate column however many segments there are.  The
-    families, the budgets (per segment) and the error raised are those of
-    a loop of lone ``cousin_partition`` calls.
+    The segments between the carves are bisected by one
+    ``cousin_partition`` call on the list of them, so each depth of the
+    construction is one gauge batch per candidate column however many
+    segments there are.  The families, the budgets (per segment) and the
+    error raised are those of a loop of lone ``cousin_partition`` calls.
 
     The seed store ``_certify`` opens around the two seeds' builds also
     holds the carves: a seed asking for a carve with the same control,
@@ -949,15 +903,11 @@ def howard_cousin_family(host: tuple, gauge: Gauge, control, tau: float, *,
     if cur < b:
         segments.append((cur, b))
 
-    # the first call bisects every segment in one pass; see cousin_partition
-    token = _PENDING.set((gauge, segments, (max_depth, max_nodes), {}))
-    try:
-        parts = [cousin_partition(seg, gauge, tag_order=tag_order,
-                                  max_depth=max_depth, max_nodes=max_nodes)
-                 for seg in segments]
-    finally:
-        _PENDING.reset(token)
-    fam = TaggedFamily1D((a, b), [], [], []).merged(*parts)
+    fam = TaggedFamily1D((a, b), [], [], [])
+    if segments:
+        part = cousin_partition(segments, gauge, tag_order=tag_order,
+                                max_depth=max_depth, max_nodes=max_nodes)
+        fam = TaggedFamily1D((a, b), part.lefts, part.rights, part.tags)
     carve_fam = TaggedFamily1D((a, b),
                                [c for c, _d, _y in carves],
                                [d for _c, d, _y in carves],
@@ -991,7 +941,6 @@ class Certificate:
     sum1: float
     sum2: float
     gauge_name: str
-    seeds: tuple = ("left", "right")
     sizes: tuple = (0, 0)
     tau: Optional[float] = None
     remainders: tuple = (0.0, 0.0)
@@ -1214,8 +1163,9 @@ def hk_integrate(f, schedule, eps: float, *, vectorized: bool = False,
     within eps, else CauchyFail with both sums as (tau, sum) rows; the
     result carries the same rows as ``partial_sums``.  The returned value
     is the midpoint of the two certified sums and ``epsilon`` is the
-    achieved gap.  The seeds bisect each segment they share in one pass
-    (see ``cousin_partition``).
+    achieved gap.  Each construction bisects its segments in one
+    ``cousin_partition`` call, and the right seed takes the segments it
+    shares with the left one from the left seed's pass.
 
     For gauges with a declared zero set the partition is carves plus covered
     family; carve pairs are tagged at the zero points and kept in the sum,

@@ -230,11 +230,12 @@ def hkp_integrate(f, T: Current1D, G: PieceCharge, gauge_schedule,
     is the non-integrability diagnostic.
 
     Each component's arc gauge is pulled back once per call.
-    ``hk_core._certify`` opens the seed stores: in the one around the two
-    seeds at the smallest tau they share one bisection pass per component
-    segment they both cover (see ``hk_core.cousin_partition``), bit for bit
-    the families two lone ``howard_cousin_current`` builds give, and each
-    larger tau's left build gets a store of its own.
+    ``hk_core._certify`` opens the seed stores.  In the one around the two
+    seeds at the smallest tau, the right seed takes each component segment
+    it shares with the left one from the left seed's bisection pass (see
+    ``hk_core.cousin_partition``), bit for bit the families two lone
+    ``howard_cousin_current`` builds give; each larger tau's left build
+    gets a store of its own.
     """
     return _certify_each([f], T, G, gauge_schedule, eps, tau_schedule,
                          max_depth=max_depth, max_nodes=max_nodes)[0]

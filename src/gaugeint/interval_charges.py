@@ -314,8 +314,9 @@ def full_family_integrate(f, G: IntervalCharge, gauge_schedule,
     zero set, uncovered remainder with |G| < tau.  Two independent builds
     (left/right seeds, carve budget order flipped) must agree within eps,
     else CauchyFail carrying the (tau, sum) rows, which the result also
-    carries as ``partial_sums``; the builds bisect each segment they share
-    in one pass.  ``tau_schedule`` is read as in hkp_integrate: None for
+    carries as ``partial_sums``; each build bisects its segments in one
+    ``cousin_partition`` call, and the right seed takes the segments it
+    shares with the left one from the left seed's pass.  ``tau_schedule`` is read as in hkp_integrate: None for
     eps/4, a number, an eps -> tau callable, or a list of budgets (the left
     seed is built at each).
     The value is the midpoint of the two family sums; against a partition

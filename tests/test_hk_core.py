@@ -228,6 +228,9 @@ def test_cousin_partition_node_budget():
     # one gauge batch holds both depth-2 midpoints
     (Gauge(0.0, 1.0, lambda x: -1.0 if x in (0.375, 0.625) else 0.05,
            name="neg"), 64, InvalidGauge, "neg(0.375) = -1.0"),
+    # no depth at all is bisected
+    (Gauge.uniform(0.0, 1.0, 0.1), -1, DepthExceeded,
+     "uniform[h=0.1]: bisection produced no intervals"),
 ])
 def test_cousin_partition_errors_name_the_leftmost_point(gauge, max_depth,
                                                          error, message):
@@ -235,6 +238,28 @@ def test_cousin_partition_errors_name_the_leftmost_point(gauge, max_depth,
         with pytest.raises(error, match="^" + re.escape(message) + "$"):
             cousin_partition((0.0, 1.0), gauge, tag_order=tag_order,
                              max_depth=max_depth)
+
+
+@pytest.mark.parametrize("segments, error, message", [
+    ([], ValueError, "segments must be a nonempty sorted list"),
+    ([(0.5, 1.0), (0.0, 0.4)], ValueError, "segments must be"),
+    ([(0.0, 0.6), (0.5, 1.0)], ValueError, "segments must be"),
+    ([(0.0, 0.5), (0.7, 0.7)], ValueError, "segments must be"),
+    ([(0.0, 0.4), (0.9, 1.5)], InvalidGauge,
+     "host [0.9, 1.5] not inside gauge host (0.0, 1.0)"),
+    ([(0.0, 0.4), (0.6, 1.0)], InvalidGauge, "gauge vanishes inside the host"),
+], ids=["empty", "unsorted", "overlapping", "degenerate", "outside", "zero"])
+def test_cousin_partition_rejects_bad_segment_lists(segments, error, message):
+    seen = []
+
+    def width(xs):
+        seen.append(xs)
+        return np.full(np.shape(xs), 0.1)
+
+    gauge = Gauge(0.0, 1.0, width, (0.8,))
+    with pytest.raises(error, match="^" + re.escape(message)):
+        cousin_partition(segments, gauge)
+    assert seen == []
 
 
 def test_tagged_family_rejects_unequal_lengths():
@@ -457,16 +482,29 @@ def _store(shared):
 @pytest.mark.parametrize("shared", [False, True], ids=["alone", "seed_store"])
 @pytest.mark.parametrize("name", ["dirichlet5", "dirichlet6", "dirichlet7",
                                   "sqsin"])
-def test_one_pass_build_matches_per_segment_partitions(name, shared):
+def test_one_pass_build_matches_per_segment_partitions(name, shared,
+                                                      monkeypatch):
     gauge, control, f, eps = _one_pass_case(name)
+    hosts = []
+    monkeypatch.setattr(hk_core, "cousin_partition",
+                        lambda host, *a, **k: hosts.append(host)
+                        or cousin_partition(host, *a, **k))
+    built = []
     with _store(shared):
-        built = [(t, howard_cousin_family(gauge.host, gauge, control, eps / 4.0,
-                                          tag_order=t, zero_order=z,
-                                          f_weight=f, eps_weight=eps / 2.0))
-                 for t, z in _ALL_SEEDS]
+        for t, z in _ALL_SEEDS:
+            del hosts[:]
+            fc = howard_cousin_family(gauge.host, gauge, control, eps / 4.0,
+                                      tag_order=t, zero_order=z,
+                                      f_weight=f, eps_weight=eps / 2.0)
+            # one call on the list of the construction's segments
+            assert hosts == [_segments(fc)]
+            built.append((t, fc))
     for tag_order, fc in built:
         assert len(_segments(fc)) >= 2
-        _assert_same_family(fc.family, _per_segment(fc, gauge, tag_order))
+        want = _per_segment(fc, gauge, tag_order)
+        _assert_same_family(fc.family, want)
+        _assert_same_family(cousin_partition(_segments(fc), gauge,
+                                             tag_order=tag_order), want)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["alone", "seed_store"])

@@ -37,9 +37,10 @@ def test_traced_run_exits_clean(workload):
 
 
 def test_cousin_intervals_match_sizes_on_dirichlet_ops(monkeypatch):
-    # each Dirichlet construction bisects all its segments in its first
-    # cousin_partition call; the traced interval count still covers every
-    # family interval: the certificate's sizes less the carve pairs
+    # each construction bisects all its segments in one cousin_partition
+    # call on the list of them; the traced interval count still covers
+    # every family interval: the certificate's sizes, less the carve pairs
+    # where hk_integrate counts them
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import gaugeint
     import tracing
@@ -49,6 +50,8 @@ def test_cousin_intervals_match_sizes_on_dirichlet_ops(monkeypatch):
     ops = [op for op in workloads.build("interval_mesh", 1, user=tracer.user)
            if op.kind == "hk_integrate" and "dirichlet" in op.label]
     assert len(ops) == 6
+    ops += [op for op in workloads.build("interval_ftc", 1, user=tracer.user)
+            if "sqsin" in op.label and "eps=0.01" in op.label]
     inst = tracing.install(tracer, gaugeint)
     try:
         tracer.active = True
@@ -57,8 +60,9 @@ def test_cousin_intervals_match_sizes_on_dirichlet_ops(monkeypatch):
             res = op.call()
             c = tracer.end_op()
             assert c["carve.pairs"] > 0, op.label
+            carved = c["carve.pairs"] if op.kind == "hk_integrate" else 0
             assert c["cousin.intervals"] == \
-                sum(res.certificate.sizes) - c["carve.pairs"], op.label
+                sum(res.certificate.sizes) - carved, op.label
     finally:
         tracer.active = False
         inst.uninstall()
